@@ -22,6 +22,7 @@ from .cech import (
     cohomology_witness,
     cover,
     cube_poset,
+    poset_witness,
     reduce_complex,
 )
 from .ellinv import (

@@ -25,6 +25,7 @@ from .errors import (
     NotAComplex,
     NotGood,
     NotInvertibleBlock,
+    TorellError,
     WitnessNotFound,
 )
 from .fan import Cone, Fan
@@ -119,7 +120,8 @@ def _check_star_connected(tops: Sequence[Cone], star: Sequence[int], rho: frozen
 def _build_element(tops: Sequence[Cone], letters: dict[int, str]) -> CoverElement:
     rho = frozenset(letters)
     support = _star(tops, rho)
-    assert support, "element support must be nonempty"
+    if not support:
+        raise NotGood(f"rays {tuple(sorted(rho))} lie on no top cone")
     _check_star_connected(tops, support, rho)
     words = tuple("".join(letters.get(r, "a") for r in tops[i]) for i in support)
     grade = sum(1 for v in letters.values() if v == "c")
@@ -177,8 +179,18 @@ class CechPoset:
         letters = {r: letter_meet(d1.get(r, "a"), d2.get(r, "a"))
                    for r in set(d1) | set(d2)}
         element = _build_element(self.tops, letters)
-        assert set(element.support) == common
+        if set(element.support) != common:
+            raise TorellError(f"meet has support {element.support}, "
+                              f"not the common charts {tuple(sorted(common))}")
         return element
+
+    def cover(self) -> tuple[CoverElement, ...]:
+        """The distinguished cover the poset closes: its grade-0 elements.
+
+        Cover elements carry no c, and the meet of two distinct elements
+        puts a c wherever their letters differ, so nothing else has grade 0.
+        """
+        return tuple(e for e in self.elements if e.grade == 0)
 
     def grading(self) -> dict[int, tuple[CoverElement, ...]]:
         out: dict[int, list[CoverElement]] = {}
@@ -259,13 +271,19 @@ def cohomology_witness(fan: Fan) -> WitnessReport:
     combinatorial reason the top coherent cohomology has one dimension per
     top cone.
     """
-    poset = cech_poset(fan)
-    n = fan.ambient_rank
+    return poset_witness(cech_poset(fan))
+
+
+def poset_witness(poset: CechPoset) -> WitnessReport:
+    """``cohomology_witness`` of the fan whose poset is already built."""
+    n = poset.ambient_rank
     entries = []
     singulars = [e for e in poset.elements
                  if e.grade == n - 1 and len(e.support) > 1]
     for e in singulars:
-        assert len(e.support) == 2
+        if len(e.support) != 2:
+            raise WitnessNotFound(f"singular element {e.ray_letters} lies over "
+                                  f"{len(e.support)} charts, not one wall")
         comps = []
         covers = []
         positions = []

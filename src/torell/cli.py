@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, cech, ellinv, fan as fan_mod, fan_io, gkm, triang
-from .errors import TorellError
+from .errors import ParseError, TorellError
 
 
 def _add_common(parser):
@@ -153,8 +153,8 @@ def _cmd_gkm(args) -> int:
 def _cmd_cech(args) -> int:
     f, name, data = fan_io.resolve_fan_argument(args.fan, args.corpus)
     poset = cech.cech_poset(f)
-    witness = cech.cohomology_witness(f)
-    result = {"fan": name, "cover_size": len(cech.cover(f)),
+    witness = cech.poset_witness(poset)
+    result = {"fan": name, "cover_size": len(poset.cover()),
               **fan_io.cech_json(poset, witness)}
     lines = [f"{name}: cover size {result['cover_size']}, "
              f"poset size {result['element_count']}, "
@@ -229,7 +229,13 @@ def _parse_generators(spec: str):
         part = part.strip()
         if not part:
             continue
-        gens.append(tuple(Fraction(x.strip()) for x in part.split(",")))
+        weights = []
+        for token in part.split(","):
+            try:
+                weights.append(Fraction(token.strip()))
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"--generators: cannot read weight {token.strip()!r}") from None
+        gens.append(tuple(weights))
     return gens
 
 
@@ -276,8 +282,11 @@ def main(argv=None) -> int:
     except TorellError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except OSError as exc:
+        if exc.filename is None:
+            sys.stderr.write(f"error: {exc}\n")
+        else:
+            sys.stderr.write(f"error: cannot read {exc.filename}: {exc.strerror}\n")
         return 2
 
 

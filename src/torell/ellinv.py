@@ -20,6 +20,7 @@ from .errors import (
     NotProper,
     NotSingleFlip,
     NotSurface,
+    NotUnimodular,
     RankMismatch,
 )
 from .fan import Fan, walls
@@ -27,9 +28,10 @@ from .lattice import (
     IntMatrix,
     SublatticeClass,
     determinant,
+    integer_solver,
     kernel_basis,
     saturate,
-    solve_integer,
+    span_class,
 )
 
 ISOMORPHIC = "ISOMORPHIC"
@@ -102,7 +104,8 @@ def mv_ladder(fan: Fan) -> MayerVietorisLadder:
             common = set(tops[subset[0]])
             for i in subset[1:]:
                 common &= set(tops[i])
-            span = saturate([fan.rays[i] for i in sorted(common)], fan.ambient_rank)
+            # The common rays are part of a top cone's lattice basis.
+            span = span_class([fan.rays[i] for i in sorted(common)], fan.ambient_rank)
             summands.append(LadderSummand(
                 cone_ids=subset,
                 span=span,
@@ -247,7 +250,8 @@ def incidence_matrix(fan: Fan, start_ray: int) -> SurfaceIncidence:
     entries = [[0] * m for _ in range(m)]
     for col, ray in enumerate(order):
         containing = [i for i, cone in enumerate(tops) if ray in cone]
-        assert len(containing) == 2
+        if len(containing) != 2:
+            raise NotProper(f"ray {fan.rays[ray]} lies on {len(containing)} top cones, not 2")
         entries[containing[0]][col] = 1
         entries[containing[1]][col] = -1
     return SurfaceIncidence(
@@ -301,9 +305,10 @@ def flip_certificate(f: Fan, f2: Fan) -> IntMatrix:
     if a_f == a_g:
         return IntMatrix.identity(a_f.rows)
     m = a_f.rows
+    solve = integer_solver(a_g)
     columns = []
     for j in range(m):
-        x = solve_integer(a_g, a_f.column(j))
+        x = solve(a_f.column(j))
         if x is None:
             raise NotSingleFlip("incidence columns are not integrally compatible")
         columns.append(list(x))
@@ -313,12 +318,15 @@ def flip_certificate(f: Fan, f2: Fan) -> IntMatrix:
     image = [sum(columns[j][i] * z_f[j] for j in range(m)) for i in range(m)]
     pivot = next(i for i, x in enumerate(z_g) if x)
     c0, rem = divmod(image[pivot], z_g[pivot])
-    assert rem == 0 and image == [c0 * x for x in z_g]
+    if rem or image != [c0 * x for x in z_g]:
+        raise NotSingleFlip("the solution does not carry kernel onto kernel")
     k0 = next(i for i, x in enumerate(z_f) if abs(x) == 1)
     t = (1 - c0) // z_f[k0]
     for i in range(m):
         columns[k0][i] += t * z_g[i]
     cert = IntMatrix.from_columns(columns)
-    assert a_g @ cert == a_f
-    assert abs(determinant(cert)) == 1
+    if a_g @ cert != a_f:
+        raise NotSingleFlip("the certificate does not carry one incidence matrix to the other")
+    if abs(determinant(cert)) != 1:
+        raise NotUnimodular("the certificate is not unimodular")
     return cert

@@ -9,6 +9,7 @@ queries are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
@@ -20,7 +21,7 @@ from .lattice import (
     inverse_unimodular,
     is_primitive,
     is_unimodular_basis,
-    saturate,
+    span_class,
 )
 
 Cone = tuple  # sorted tuple of ray indices
@@ -33,6 +34,26 @@ def _normalize_cone(cone: Sequence[int], nrays: int) -> Cone:
     if cone and (cone[0] < 0 or cone[-1] >= nrays):
         raise MalformedFan(f"ray index out of range in cone {cone}")
     return cone
+
+
+def _facets(cones: Iterable[Cone]) -> set[Cone]:
+    """Every cone obtained by dropping one ray from a listed cone."""
+    return {c[:i] + c[i + 1:] for c in cones for i in range(len(c))}
+
+
+@dataclass(frozen=True, slots=True)
+class _Incidence:
+    """Incidence data of a fan, derived once and shared by every query.
+
+    upper maps each (n-1)-dimensional cone to the top cones it lies on,
+    in sorted order on both levels.
+    """
+
+    tops: tuple[Cone, ...]
+    upper: dict[Cone, tuple[Cone, ...]]
+    smooth: bool
+    good: bool
+    proper: bool
 
 
 @dataclass(frozen=True)
@@ -91,31 +112,45 @@ class Fan:
 
     # -- queries ----------------------------------------------------------
 
+    @cached_property
+    def _incidence(self) -> _Incidence:
+        n = self.ambient_rank
+        tops = tuple(sorted(c for c in self.cones if len(c) == n))
+        # Keyed by the fan's own wall tuples, so no copies are kept, and
+        # inserted in sorted order, so walls() need not sort.
+        upper: dict[Cone, tuple[Cone, ...]] = {
+            w: () for w in sorted(c for c in self.cones if len(c) == n - 1)}
+        for top in tops:
+            for i in range(n):
+                wall = top[:i] + top[i + 1:]
+                upper[wall] += (top,)
+        smooth = all(is_unimodular_basis([self.rays[i] for i in c]) for c in tops)
+        # Good: smooth, and every maximal cone (a cone that is no other
+        # cone's facet, the fan being closed under faces) is top-dimensional.
+        facets = _facets(self.cones) if smooth else set()
+        good = smooth and all(len(c) == n or c in facets for c in self.cones)
+        proper = bool(tops) and all(len(u) == 2 for u in upper.values())
+        return _Incidence(tops, upper, smooth, good, proper)
+
     def cones_of_dim(self, d: int) -> tuple[Cone, ...]:
         return tuple(sorted(c for c in self.cones if len(c) == d))
 
     def top_cones(self) -> tuple[Cone, ...]:
-        return self.cones_of_dim(self.ambient_rank)
+        return self._incidence.tops
 
     def maximal_cones(self) -> tuple[Cone, ...]:
-        sets = {c: set(c) for c in self.cones}
-        return tuple(sorted(
-            c for c in self.cones
-            if not any(c != d and sets[c] < sets[d] for d in self.cones)))
+        facets = _facets(self.cones)
+        return tuple(sorted(c for c in self.cones if c not in facets))
 
     def ray_matrix(self, cone: Cone) -> IntMatrix:
         """Columns are the cone's ray generators in sorted index order."""
         return IntMatrix.from_columns([self.rays[i] for i in cone])
 
     def is_smooth(self) -> bool:
-        return all(is_unimodular_basis([self.rays[i] for i in c])
-                   for c in self.top_cones())
+        return self._incidence.smooth
 
     def is_good(self) -> bool:
-        tops = [set(c) for c in self.top_cones()]
-        if not self.is_smooth():
-            return False
-        return all(any(set(c) <= t for t in tops) for c in self.cones)
+        return self._incidence.good
 
     def is_proper(self) -> bool:
         """True when the fan's support is all of R^n.
@@ -124,14 +159,7 @@ class Fan:
         lying on exactly two top-dimensional cones: a wall seen by only one
         top cone is a facet of the support's boundary.
         """
-        tops = self.top_cones()
-        if not tops:
-            return False
-        top_sets = [set(c) for c in tops]
-        for wall in self.cones_of_dim(self.ambient_rank - 1):
-            if sum(1 for t in top_sets if set(wall) <= t) != 2:
-                return False
-        return True
+        return self._incidence.proper
 
 
 @dataclass(frozen=True)
@@ -177,13 +205,13 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
     """All (n-1)-dimensional cones with their containing top cones and spans."""
     if not fan.is_good():
         raise NotGood("walls are only enumerated for good fans")
-    tops = fan.top_cones()
     out = []
-    for cone in fan.cones_of_dim(fan.ambient_rank - 1):
-        upper = tuple(t for t in tops if set(cone) <= set(t))
+    for cone, upper in fan._incidence.upper.items():
         if len(upper) > 2:
             raise MalformedFan(f"wall {cone} lies on {len(upper)} top cones")
-        span = saturate([fan.rays[i] for i in cone], fan.ambient_rank)
+        # The rays of a cone of a smooth fan extend to a lattice basis, so
+        # they span a saturated sublattice: their Hermite form is its class.
+        span = span_class([fan.rays[i] for i in cone], fan.ambient_rank)
         out.append(Wall(cone=cone, upper=upper, span=span))
     return tuple(out)
 
@@ -217,19 +245,23 @@ def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
         return None
     sigma0 = f.top_cones()[0]
     vinv = inverse_unimodular(f.ray_matrix(sigma0))
+    # Every ray of f in the chart coordinates of sigma0: a candidate map
+    # sends it to the same combination of the image basis.
+    coords = [vinv.apply(ray) for ray in f.rays]
     ray_index = {ray: i for i, ray in enumerate(g.rays)}
     for tau in g.top_cones():
         for image in permutations(tau):
             w = IntMatrix.from_columns([g.rays[i] for i in image])
-            m = w @ vinv
-            mapping = {}
-            for i, ray in enumerate(f.rays):
-                j = ray_index.get(m.apply(ray))
+            mapping = []
+            for c in coords:
+                j = ray_index.get(w.apply(c))
                 if j is None:
                     break
-                mapping[i] = j
+                mapping.append(j)
             else:
-                mapped = {tuple(sorted(mapping[i] for i in cone)) for cone in f.cones}
-                if mapped == set(g.cones):
-                    return m
+                # The map is injective and both fans have as many cones, so
+                # landing inside g's cones means hitting all of them.
+                if all(tuple(sorted(mapping[i] for i in cone)) in g.cones
+                       for cone in f.cones):
+                    return w @ vinv
     return None

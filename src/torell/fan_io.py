@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .cech import CechPoset, CoverElement, WitnessReport, classify
 from .ellinv import EllShadow, MayerVietorisLadder, SurfaceIncidence, Verdict
-from .errors import MalformedFan, ParseError, SchemaError
+from .errors import MalformedFan, ParseError, SchemaError, TorellError
 from .fan import Fan, FanReport
 from .gkm import MomentGraph, PartialSkeleton
 from .lattice import SublatticeClass, primitive_normal
@@ -46,13 +46,18 @@ def parse_fan_document(data) -> tuple[Fan, dict]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno,
-                         column=exc.colno) from exc
+        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
+                         line=exc.lineno, column=exc.colno) from exc
     return _fan_from_dict(doc), doc.get("metadata", {})
 
 
 def parse_fan(data) -> Fan:
     return parse_fan_document(data)[0]
+
+
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _fan_from_dict(doc) -> Fan:
@@ -67,14 +72,15 @@ def _fan_from_dict(doc) -> Fan:
     n = doc["ambient_rank"]
     rays = doc["rays"]
     cones = doc["cones"]
-    if not isinstance(n, int) or n < 1:
-        raise SchemaError("ambient_rank must be a positive integer")
-    if not isinstance(rays, list) or not all(
-            isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rays):
-        raise SchemaError("rays must be a list of integer vectors")
-    if not isinstance(cones, list) or not all(
-            isinstance(c, list) and all(isinstance(i, int) for i in c) for c in cones):
-        raise SchemaError("cones must be a list of ray-index lists")
+    if not _is_int(n) or n < 1:
+        raise SchemaError(f"ambient_rank is {json.dumps(n)}, not a positive integer")
+    for key, items, what in (("rays", rays, "an integer vector"),
+                             ("cones", cones, "a list of ray indices")):
+        if not isinstance(items, list):
+            raise SchemaError(f"{key} must be a list")
+        for k, item in enumerate(items):
+            if not isinstance(item, list) or not all(_is_int(x) for x in item):
+                raise SchemaError(f"{key}[{k}] is {json.dumps(item)}, not {what}")
     for cone in cones:
         for i in cone:
             if not 0 <= i < len(rays):
@@ -130,6 +136,12 @@ def complete_surface_fan(rays: Sequence[Sequence[int]]) -> Fan:
     order = sorted(range(len(rays)), key=functools.cmp_to_key(cmp))
     if len(order) < 3:
         raise MalformedFan("a complete surface fan needs at least three rays")
+    for k in range(len(order)):
+        u, v = rays[order[k]], rays[order[(k + 1) % len(order)]]
+        cross = u[0] * v[1] - u[1] * v[0]
+        if cross < 0 or (cross == 0 and u[0] * v[0] + u[1] * v[1] < 0):
+            raise MalformedFan(f"no ray between {u} and {v}, an angular gap of at least "
+                               "half a turn: the rays do not surround the origin")
     cones = [(order[k], order[(k + 1) % len(order)]) for k in range(len(order))]
     return Fan.from_cones(2, rays, cones)
 
@@ -203,9 +215,13 @@ def resolve_fan_argument(arg: str, corpus: Optional[str] = None):
     """
     if os.sep in arg or arg.endswith(".json") or arg.endswith(".txt"):
         data = Path(arg).read_bytes()
+    else:
+        data = corpus_bytes(arg, corpus)
+    try:
         return parse_fan(data), arg, data
-    data = corpus_bytes(arg, corpus)
-    return parse_fan(data), arg, data
+    except TorellError as exc:
+        exc.args = (f"{arg}: {exc}",) + exc.args[1:]
+        raise
 
 
 # --- JSON views of results --------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, NonSquare, WrongCorank
 
@@ -194,29 +194,42 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
     return [tuple(u[i]) for i in range(rank, ncols)]
 
 
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
-    """One integer solution x of A x = b, or None if none exists."""
-    if len(b) != a.rows:
-        raise DimensionMismatch("right-hand side length mismatch")
+def integer_solver(a: IntMatrix) -> Callable[[Sequence[int]], Optional[Vector]]:
+    """``b -> one integer solution x of A x = b, or None if none exists``.
+
+    The Hermite form of A's transpose is computed once and shared by every
+    right-hand side the returned function is given.
+    """
     at = a.transpose()
     h, u, pivots = _hnf_transform(at.entries, at.cols)
-    residue = list(_as_vector(b))
-    coeffs = [0] * len(h)
-    for r, c in enumerate(pivots):
-        q, rem = divmod(residue[c], h[r][c])
-        if rem:
-            return None
-        coeffs[r] = q
-        if q:
-            residue = [x - q * y for x, y in zip(residue, h[r])]
-    if any(residue):
-        return None
     n = a.cols
-    x = [0] * n
-    for r, q in enumerate(coeffs):
-        if q:
-            x = [xi + q * ui for xi, ui in zip(x, u[r])]
-    return tuple(x)
+
+    def solve(b: Sequence[int]) -> Optional[Vector]:
+        if len(b) != a.rows:
+            raise DimensionMismatch("right-hand side length mismatch")
+        residue = list(_as_vector(b))
+        coeffs = [0] * len(h)
+        for r, c in enumerate(pivots):
+            q, rem = divmod(residue[c], h[r][c])
+            if rem:
+                return None
+            coeffs[r] = q
+            if q:
+                residue = [x - q * y for x, y in zip(residue, h[r])]
+        if any(residue):
+            return None
+        x = [0] * n
+        for r, q in enumerate(coeffs):
+            if q:
+                x = [xi + q * ui for xi, ui in zip(x, u[r])]
+        return tuple(x)
+
+    return solve
+
+
+def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
+    """One integer solution x of A x = b, or None if none exists."""
+    return integer_solver(a)(b)
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
@@ -287,14 +300,6 @@ class SublatticeClass:
     def sort_key(self):
         return (self.ambient_rank, self.rank, self.basis)
 
-    def contains(self, v: Sequence[int]) -> bool:
-        if len(v) != self.ambient_rank:
-            raise DimensionMismatch("vector has wrong ambient rank")
-        if not self.basis:
-            return not any(v)
-        mat = IntMatrix.from_rows(self.basis).transpose()
-        return solve_integer(mat, v) is not None
-
     def describe(self) -> str:
         gens = ", ".join("(" + ",".join(str(x) for x in row) + ")" for row in self.basis)
         return f"span{{{gens}}}" if gens else "0"
@@ -316,12 +321,28 @@ def saturate(vectors: Sequence[Sequence[int]], ambient_rank: Optional[int] = Non
         if ambient_rank is None:
             raise DimensionMismatch("ambient rank required for an empty generating set")
         n = ambient_rank
+    if len(vectors) == 1 and any(vectors[0]):
+        # One nonzero vector: its line is saturated by the primitive vector.
+        g = gcd(*vectors[0])
+        return SublatticeClass(n, (sign_normalized(tuple(x // g for x in vectors[0])),))
     # Saturation = double orthogonal complement, both computed as integer
     # kernels (kernels of integer matrices are saturated).
-    perp = kernel_basis(vectors, n)
-    sat = kernel_basis(perp, n)
-    h, _, pivots = _hnf_transform(sat, n)
-    return SublatticeClass(n, tuple(tuple(r) for r in h[:len(pivots)]))
+    return span_class(kernel_basis(kernel_basis(vectors, n), n), n)
+
+
+def span_class(vectors: Sequence[Sequence[int]], ambient_rank: int) -> SublatticeClass:
+    """The Hermite form of the lattice the vectors span, as a class.
+
+    This is the canonical class of that lattice only when the lattice is
+    saturated, for example when the vectors extend to a basis of Z^n; then
+    it equals ``saturate(vectors)`` at the cost of one Hermite form.
+    """
+    vectors = [_as_vector(v) for v in vectors]
+    if len(vectors) == 1 and any(vectors[0]):
+        # A single row is in Hermite form once its leading entry is positive.
+        return SublatticeClass(ambient_rank, (sign_normalized(vectors[0]),))
+    h, _, pivots = _hnf_transform(vectors, ambient_rank)
+    return SublatticeClass(ambient_rank, tuple(tuple(r) for r in h[:len(pivots)]))
 
 
 def primitive_normal(s: SublatticeClass) -> Vector:
@@ -331,9 +352,15 @@ def primitive_normal(s: SublatticeClass) -> Vector:
     """
     if s.corank != 1:
         raise WrongCorank(f"corank {s.corank} class has no single normal")
-    kern = kernel_basis(s.basis, s.ambient_rank)
-    assert len(kern) == 1 and is_primitive(kern[0])
-    return sign_normalized(kern[0])
+    # The signed maximal minors of the basis rows (their generalised cross
+    # product) are orthogonal to every row, and all vanish only when the
+    # rows are dependent.
+    minors = [(-1) ** j * determinant(IntMatrix(tuple(row[:j] + row[j + 1:] for row in s.basis)))
+              for j in range(s.ambient_rank)]
+    g = gcd(*minors)
+    if g == 0:
+        raise WrongCorank(f"basis {s.basis} has dependent rows")
+    return sign_normalized(tuple(x // g for x in minors))
 
 
 def is_unimodular_basis(vectors: Sequence[Sequence[int]]) -> bool:

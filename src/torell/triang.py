@@ -22,6 +22,7 @@ from .errors import (
     NotDim2,
     NotInSL,
     NotUnimodular,
+    TorellError,
 )
 from .fan import Fan
 from .lattice import IntMatrix, _hnf_transform, determinant
@@ -287,10 +288,12 @@ def quotient_simplex(generators: Iterable[Sequence], rank: Optional[int] = None)
     rows = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
     rows += [[int(x * denom) for x in g] for g in gens]
     h, _, pivots = _hnf_transform(rows, n)
-    assert len(pivots) == n
+    if len(pivots) != n:
+        raise DimensionMismatch(f"refined lattice has rank {len(pivots)}, not {n}")
     basis = [tuple(Fraction(x, denom) for x in h[i]) for i in range(n)]
     heights = [sum(b) for b in basis]
-    assert all(x.denominator == 1 for x in heights)
+    if any(x.denominator != 1 for x in heights):
+        raise NotInSL(f"refined lattice basis has non-integral heights {heights}")
     transform = _height_normalizer([int(x) for x in heights])
     new_basis = [tuple(sum(transform[j][k] * basis[j][i] for j in range(n))
                        for i in range(n))
@@ -299,7 +302,9 @@ def quotient_simplex(generators: Iterable[Sequence], rank: Optional[int] = None)
     vertices = []
     for i in range(n):
         coords = _solve_fractions(cols, [Fraction(1 if j == i else 0) for j in range(n)])
-        assert all(c.denominator == 1 for c in coords) and coords[-1] == 1
+        if any(c.denominator != 1 for c in coords) or coords[-1] != 1:
+            raise NotInSL(f"vertex {i} of the quotient simplex is {coords}, "
+                          "not a lattice point at height one")
         vertices.append(tuple(int(c) for c in coords[:-1]))
     # Normalize the translation freedom: put the componentwise minimum at 0.
     lows = [min(v[i] for v in vertices) for i in range(n - 1)]
@@ -349,7 +354,8 @@ def _height_normalizer(heights: list[int]) -> list[list[int]]:
     """Unimodular U (as U[j][k]) with sum-row . U = (0, ..., 0, 1)."""
     n = len(heights)
     h, u, pivots = _hnf_transform([[x] for x in heights], 1)
-    assert pivots == [0] and h[0][0] == 1
+    if pivots != [0] or h[0][0] != 1:
+        raise NotInSL(f"heights {heights} do not generate Z")
     # u rows combine the heights: row 0 reaches gcd 1, the rest reach 0.
     # Columns of the result are the new basis coefficient vectors, with the
     # gcd row moved to the last position.
@@ -409,7 +415,8 @@ def unimodular_triangulations(simplex: LatticeSimplex, limit: int = 10000) -> tu
                     new_pending.discard(e)
                 else:
                     rev = (e[1], e[0])
-                    assert rev not in new_pending
+                    if rev in new_pending:
+                        raise TorellError(f"edge {rev} would bound three cells")
                     new_pending.add(rev)
             placed.append(tuple(sorted((a, b, w))))
             placed_tris.append(tri)

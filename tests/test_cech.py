@@ -15,6 +15,7 @@ from torell.cech import (
     cohomology_witness,
     cover,
     cube_poset,
+    poset_witness,
     reduce_complex,
 )
 from torell.errors import (
@@ -24,6 +25,9 @@ from torell.errors import (
     NotInvertibleBlock,
 )
 from torell.fan import Fan
+from torell.fan_io import complete_surface_fan
+
+from conftest import random_blowup_rays
 
 
 class TestCubePoset:
@@ -263,6 +267,14 @@ class TestWitness:
             interior = sum(1 for e in cech_poset(fan).elements
                            if e.grade == fan.ambient_rank - 1 and len(e.support) == 2)
             assert report.singular_count == interior, name
+
+    def test_one_poset_gives_cover_and_witness(self, corpus_fans):
+        rng = random.Random(3)
+        surfaces = [complete_surface_fan(random_blowup_rays(rng, k)) for k in (2, 5, 9)]
+        for fan in list(corpus_fans.values()) + surfaces:
+            poset = cech_poset(fan)
+            assert poset.cover() == cover(fan)
+            assert poset_witness(poset) == cohomology_witness(fan)
 
 
 def nerve_complex(num_opens):

@@ -154,3 +154,49 @@ def test_ray_list_file_input(tmp_path):
     proc = run_cli("validate", str(path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"][0]["proper"] is True
+
+
+def assert_input_error(proc, *needles):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    (line,) = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    for needle in needles:
+        assert needle in line
+
+
+def test_directory_operand_exits_two(tmp_path):
+    assert_input_error(run_cli("validate", str(tmp_path)), str(tmp_path))
+
+
+def test_generator_with_zero_denominator_exits_two():
+    assert_input_error(run_cli("mckay-example", "--generators", "1/0,1"), "'1/0'")
+
+
+def test_non_numeric_generator_exits_two():
+    assert_input_error(run_cli("mckay-example", "--generators", "a,b"), "'a'")
+
+
+def test_half_plane_ray_list_exits_two(tmp_path):
+    path = tmp_path / "half.txt"
+    path.write_text("(1,0) (1,1) (0,1)\n")
+    assert_input_error(run_cli("validate", str(path)), str(path), "(0, 1)", "(1, 0)")
+
+
+def test_boolean_coordinates_exit_two(tmp_path):
+    path = tmp_path / "bools.fan.json"
+    path.write_text(json.dumps({"schema_version": "1", "ambient_rank": 2,
+                                "rays": [[True, False], [False, True], [-1, -1]],
+                                "cones": [[0, 1], [1, 2], [0, 2]]}))
+    assert_input_error(run_cli("validate", str(path)), str(path), "rays[0]")
+
+
+def test_cech_report_matches_separate_cover_and_witness():
+    from torell.cech import cech_poset, cohomology_witness, cover
+    from torell.fan_io import cech_json, load_corpus_fan
+
+    for name in ("p1", "p2", "p1xp1", "flop3_a"):
+        fan = load_corpus_fan(name)
+        result = json.loads(run_cli("cech", name).stdout)["result"]
+        assert result["cover_size"] == len(cover(fan))
+        expected = json.loads(json.dumps(cech_json(cech_poset(fan), cohomology_witness(fan))))
+        assert {k: result[k] for k in expected} == expected

@@ -1,0 +1,169 @@
+"""The fan incidence index and the lattice closed forms against the oracles."""
+
+import random
+from math import gcd
+
+import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from torell.errors import MalformedFan, NotGood
+from torell.fan import Fan, fan_isomorphic, walls
+from torell.fan_io import complete_surface_fan
+from torell.lattice import IntMatrix, primitive_normal, saturate, span_class
+from torell.triang import cone_fan, quotient_simplex, unimodular_triangulations
+
+from conftest import random_blowup_rays, shuffled_fan, single_reversal_pairs
+
+
+def assert_agrees(fan):
+    """Every index query equals its subset-scan definition."""
+    n = fan.ambient_rank
+    assert fan.top_cones() == oracles.top_cones(fan)
+    assert fan.is_smooth() == oracles.is_smooth(fan)
+    assert fan.is_good() == oracles.is_good(fan)
+    assert fan.is_proper() == oracles.is_proper(fan)
+    assert fan.maximal_cones() == oracles.maximal_cones(fan)
+    if not fan.is_good():
+        with pytest.raises(NotGood):
+            walls(fan)
+        return
+    expected = [(w, oracles.wall_upper(fan, w)) for w in fan.cones_of_dim(n - 1)]
+    if any(len(upper) > 2 for _, upper in expected):
+        with pytest.raises(MalformedFan):
+            walls(fan)
+        return
+    found = walls(fan)
+    assert [(w.cone, w.upper) for w in found] == expected
+    assert [w.span for w in found] == [
+        oracles.saturate([fan.rays[i] for i in w], n) for w, _ in expected]
+
+
+def blowup_surfaces():
+    rng = random.Random(2024)
+    fans = [complete_surface_fan(random_blowup_rays(rng, steps))
+            for steps in (0, 1, 3, 8, 20, 40)]
+    for fan, flipped, _ in single_reversal_pairs(rng, 3):
+        fans += [fan, flipped]
+    return fans
+
+
+def three_delta_cone_fans():
+    simplex = quotient_simplex([("1/3", "2/3", "0"), ("1/3", "0", "2/3")])
+    triangulations = unimodular_triangulations(simplex)
+    assert len(triangulations) == 79
+    return [cone_fan(t) for t in triangulations]
+
+
+class TestIndexAgainstScans:
+    def test_corpus(self, corpus_fans):
+        for fan in corpus_fans.values():
+            assert_agrees(fan)
+
+    def test_blowup_surfaces(self):
+        for fan in blowup_surfaces():
+            assert fan.is_good() and fan.is_proper()
+            assert_agrees(fan)
+
+    def test_three_delta_cone_fans(self):
+        for fan in three_delta_cone_fans():
+            assert_agrees(fan)
+
+    def test_fans_that_are_not_good(self):
+        lone_ray = Fan.from_cones(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (2,)])
+        lone_wall = Fan.from_cones(
+            3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0)],
+            [(0, 1, 2), (3, 4)])
+        no_top = Fan.from_cones(2, [(1, 0), (0, 1)], [(0,), (1,)])
+        not_smooth = Fan.from_cones(2, [(1, 0), (1, 2)], [(0, 1)])
+        for fan in (lone_ray, lone_wall, no_top, not_smooth):
+            assert not fan.is_good()
+            assert_agrees(fan)
+        assert lone_ray.is_smooth() and lone_wall.is_smooth()
+        assert not not_smooth.is_smooth()
+
+    def test_three_top_cones_on_a_wall(self):
+        fan = Fan.from_cones(
+            3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1), (0, 1, 1)],
+            [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+        assert fan.is_good()
+        assert_agrees(fan)
+
+    def test_index_is_built_once_per_fan(self, p2):
+        assert p2._incidence is p2._incidence
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_fans(self, data):
+        n = data.draw(st.integers(1, 3))
+        vectors = data.draw(st.lists(
+            st.tuples(*[st.integers(-2, 2)] * n).filter(lambda v: gcd(*v) == 1),
+            min_size=1, max_size=7, unique=True))
+        generators = data.draw(st.lists(
+            st.lists(st.integers(0, len(vectors) - 1), min_size=1, max_size=n, unique=True),
+            min_size=1, max_size=8))
+        used = sorted({i for cone in generators for i in cone})
+        new_index = {old: new for new, old in enumerate(used)}
+        try:
+            fan = Fan.from_cones(n, [vectors[i] for i in used],
+                                 [[new_index[i] for i in cone] for cone in generators])
+        except MalformedFan:             # dependent rays in a cone
+            assume(False)
+        event("smooth" if fan.is_smooth() else "not smooth")
+        event("good" if fan.is_good() else "not good")
+        event("proper" if fan.is_proper() else "not proper")
+        assert_agrees(fan)
+
+
+class TestFanIsomorphicAgainstScan:
+    def test_corpus_and_surfaces(self, corpus_fans):
+        rng = random.Random(17)
+        twist = IntMatrix.from_rows([[2, 1], [1, 1]])
+        fans = [f for f in corpus_fans.values() if f.is_good()] + blowup_surfaces()[:6]
+        for fan in fans:
+            images = [fan, shuffled_fan(fan, rng)]
+            if fan.ambient_rank == 2:
+                images.append(shuffled_fan(Fan.from_cones(
+                    2, [twist.apply(r) for r in fan.rays], fan.maximal_cones()), rng))
+            for other in images + fans[:4]:
+                assert fan_isomorphic(fan, other) == oracles.fan_isomorphic(fan, other)
+
+
+class TestClosedForms:
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=4).filter(any))
+    def test_single_vector_saturation(self, v):
+        assert saturate([v]) == oracles.saturate([v], len(v))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=4).filter(any),
+           st.integers(-5, 5).filter(bool))
+    def test_single_vector_multiples(self, v, k):
+        assert saturate([[k * x for x in v]]) == saturate([v])
+
+    @settings(max_examples=200)
+    @given(st.integers(2, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n - 1, max_size=n - 1)))
+    def test_primitive_normal(self, vectors):
+        s = saturate(vectors)
+        assume(s.corank == 1)
+        assert primitive_normal(s) == oracles.primitive_normal(s)
+
+    def test_primitive_normal_of_the_origin_in_a_line(self):
+        s = saturate([], ambient_rank=1)
+        assert primitive_normal(s) == oracles.primitive_normal(s) == (1,)
+
+    def test_span_class_of_basis_subsets(self):
+        rng = random.Random(8)
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            m = IntMatrix.identity(n)
+            for _ in range(6):
+                i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                if i != j:
+                    e = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
+                    e[i][j] = rng.randint(-3, 3)
+                    m = m @ IntMatrix.from_rows(e)
+            rows = [r for r in m.entries if rng.random() < 0.6]
+            assert span_class(rows, n) == oracles.saturate(rows, n)

@@ -55,6 +55,23 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_fan('{"schema_version": "1"}')
 
+    def test_booleans_are_not_integers(self):
+        p2 = {"schema_version": "1", "ambient_rank": 2,
+              "rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [0, 2]]}
+        parse_fan(json.dumps(p2))
+        for key, path, value in (("rays", (0, 0), True), ("rays", (1, 1), True),
+                                 ("cones", (2, 0), False)):
+            doc = json.loads(json.dumps(p2))
+            doc[key][path[0]][path[1]] = value
+            with pytest.raises(SchemaError, match=rf"{key}\[{path[0]}\]"):
+                parse_fan(json.dumps(doc))
+        with pytest.raises(SchemaError, match="ambient_rank"):
+            parse_fan(json.dumps(dict(p2, ambient_rank=True)))
+
+    def test_json_errors_name_line_and_column(self):
+        with pytest.raises(ParseError, match="line 2, column"):
+            parse_fan('{"schema_version": "1",\n "rays": [[1, 0]')
+
 
 class TestRayText:
     def test_parenthesised(self):
@@ -70,6 +87,16 @@ class TestRayText:
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_ray_text("(1,x)")
+
+    def test_half_plane_rejected(self):
+        # A gap of more than half a turn, and one of exactly half a turn.
+        for text in ("(1,0) (1,1) (0,1)", "(1,0) (0,1) (-1,0)", "(0,-1) (1,-1) (1,0) (1,1)"):
+            with pytest.raises(MalformedFan, match="do not surround the origin"):
+                parse_fan(text)
+
+    def test_surrounding_rays_accepted(self):
+        fan = parse_fan("(1,0) (1,1) (0,1) (-1,-1)")
+        assert fan.is_proper() and len(fan.top_cones()) == 4
 
 
 class TestRoundTrip:
