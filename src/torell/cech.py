@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
@@ -29,6 +30,7 @@ from .errors import (
     WitnessNotFound,
 )
 from .fan import Cone, Fan
+from .lattice import row_reduce
 
 LETTERS = ("a", "b", "c")
 
@@ -93,64 +95,71 @@ class CoverElement:
         return (self.grade, self.support, self.words)
 
 
-def _star(tops: Sequence[Cone], rho: frozenset) -> tuple[int, ...]:
-    return tuple(i for i, cone in enumerate(tops) if rho <= set(cone))
-
-
-def _check_star_connected(tops: Sequence[Cone], star: Sequence[int], rho: frozenset):
+def _check_star_connected(tops: Sequence[Cone], star: Sequence[int], rho: Cone):
     """The spreading recipe propagates across shared walls, so the star of
     the seed cone must be connected through them."""
-    if len(star) <= 1:
-        return
     n = len(tops[0])
-    members = list(star)
-    seen = {members[0]}
-    frontier = [members[0]]
+    seen, frontier = {star[0]}, [star[0]]
     while frontier:
         cur = frontier.pop()
-        for other in members:
+        for other in star:
             if other not in seen and len(set(tops[cur]) & set(tops[other])) == n - 1:
                 seen.add(other)
                 frontier.append(other)
-    if len(seen) != len(members):
-        raise DisconnectedStar(
-            f"star of cone with rays {tuple(sorted(rho))} is not wall-connected")
+    if len(seen) != len(star):
+        raise DisconnectedStar(f"star of cone with rays {rho} is not wall-connected")
 
 
-def _build_element(tops: Sequence[Cone], letters: dict[int, str]) -> CoverElement:
-    rho = frozenset(letters)
-    support = _star(tops, rho)
-    if not support:
-        raise NotGood(f"rays {tuple(sorted(rho))} lie on no top cone")
-    _check_star_connected(tops, support, rho)
-    words = tuple("".join(letters.get(r, "a") for r in tops[i]) for i in support)
-    grade = sum(1 for v in letters.values() if v == "c")
-    return CoverElement(
-        support=support,
-        words=words,
-        grade=grade,
-        ray_letters=tuple(sorted(letters.items())),
-    )
+def _elements(fan: Fan, letters: str) -> tuple[CoverElement, ...]:
+    """One element (rho, w) per cone rho of the fan and word w in letters^rho.
+
+    With letters "b" this is the distinguished cover; with letters "bc" it
+    is the cover's closure under intersection, which is exact:
+
+    - a cover element is (rho, b^rho), where rho is the face its b's pick
+      out, and it lies over star(rho);
+    - the meet of (rho1, b) and (rho2, b) is b on rho1 & rho2 and c on the
+      symmetric difference; it is empty unless rho1 | rho2 is a cone;
+    - the meet of (B | C, b) with (B, b) gives every (rho, w) whose b's are
+      B and whose c's are C;
+    - the set of all (rho, w) is closed under meet, since letters meet
+      rayswise and rho1 | rho2 is a cone whenever the supports meet.
+
+    So the closure has sum over rho of 2^|rho| elements.  Every cone's star
+    is listed once, from the faces of each top cone, and checked for wall
+    connectivity in the order the faces are first met.
+    """
+    if not fan.is_good():
+        raise NotGood("the distinguished cover is defined for good fans")
+    tops = fan.top_cones()
+    stars: dict[Cone, list[int]] = {}
+    for i, top in enumerate(tops):
+        for keep in product((False, True), repeat=len(top)):
+            face = tuple(r for r, k in zip(top, keep) if k)
+            stars.setdefault(face, []).append(i)
+    out = []
+    for rho, star in stars.items():
+        support = tuple(star)
+        _check_star_connected(tops, support, rho)
+        for word in product(letters, repeat=len(rho)):
+            of_ray = dict(zip(rho, word))
+            out.append(CoverElement(
+                support=support,
+                words=tuple("".join(of_ray.get(r, "a") for r in tops[i]) for i in support),
+                grade=word.count("c"),
+                ray_letters=tuple(zip(rho, word)),
+            ))
+    return tuple(sorted(out, key=lambda e: e.sort_key()))
 
 
 def cover(fan: Fan) -> tuple[CoverElement, ...]:
     """The unique affine cover whose trace on every chart is the product cover.
 
-    Every top cone and every a/b word seed one element: the b positions
-    pick a face, and the seed word spreads over the star of that face with
-    letters transported by matching shared rays.  Duplicates collapse.
+    Every face of a top cone seeds one element: b on the face's rays, and
+    the word spreads over the star of that face with letters transported
+    by matching shared rays.
     """
-    if not fan.is_good():
-        raise NotGood("the distinguished cover is defined for good fans")
-    tops = fan.top_cones()
-    n = fan.ambient_rank
-    seen: dict[tuple, CoverElement] = {}
-    for cone in tops:
-        for pattern in product("ab", repeat=n):
-            letters = {ray: "b" for ray, letter in zip(cone, pattern) if letter == "b"}
-            element = _build_element(tops, letters)
-            seen[element.ray_letters] = element
-    return tuple(sorted(seen.values(), key=lambda e: e.sort_key()))
+    return _elements(fan, "b")
 
 
 @dataclass(frozen=True)
@@ -160,6 +169,10 @@ class CechPoset:
     ambient_rank: int
     tops: tuple[Cone, ...]
     elements: tuple[CoverElement, ...]
+
+    @cached_property
+    def _index(self) -> dict[tuple[tuple[int, str], ...], CoverElement]:
+        return {e.ray_letters: e for e in self.elements}
 
     def leq(self, e1: CoverElement, e2: CoverElement) -> bool:
         """Containment of the corresponding opens."""
@@ -176,12 +189,11 @@ class CechPoset:
         if not common:
             return None
         d1, d2 = dict(e1.ray_letters), dict(e2.ray_letters)
-        letters = {r: letter_meet(d1.get(r, "a"), d2.get(r, "a"))
-                   for r in set(d1) | set(d2)}
-        element = _build_element(self.tops, letters)
-        if set(element.support) != common:
-            raise TorellError(f"meet has support {element.support}, "
-                              f"not the common charts {tuple(sorted(common))}")
+        element = self.find(tuple(sorted(
+            (r, letter_meet(d1.get(r, "a"), d2.get(r, "a"))) for r in d1.keys() | d2.keys())))
+        if element is None or set(element.support) != common:
+            raise TorellError(f"meet of {e1.ray_letters} and {e2.ray_letters} "
+                              f"does not lie over the common charts {tuple(sorted(common))}")
         return element
 
     def cover(self) -> tuple[CoverElement, ...]:
@@ -199,30 +211,12 @@ class CechPoset:
         return {k: tuple(v) for k, v in sorted(out.items())}
 
     def find(self, ray_letters: tuple[tuple[int, str], ...]) -> Optional[CoverElement]:
-        for e in self.elements:
-            if e.ray_letters == ray_letters:
-                return e
-        return None
+        return self._index.get(ray_letters)
 
 
 def cech_poset(fan: Fan) -> CechPoset:
-    """Close the cover under pairwise intersection and grade by c-count."""
-    base = cover(fan)
-    tops = fan.top_cones()
-    poset = CechPoset(fan.ambient_rank, tops, base)
-    elements = {e.ray_letters: e for e in base}
-    changed = True
-    while changed:
-        changed = False
-        current = list(elements.values())
-        for i, e1 in enumerate(current):
-            for e2 in current[i + 1:]:
-                met = poset.meet(e1, e2)
-                if met is not None and met.ray_letters not in elements:
-                    elements[met.ray_letters] = met
-                    changed = True
-    ordered = tuple(sorted(elements.values(), key=lambda e: e.sort_key()))
-    return CechPoset(fan.ambient_rank, tops, ordered)
+    """The cover's closure under pairwise intersection, graded by c-count."""
+    return CechPoset(fan.ambient_rank, fan.top_cones(), _elements(fan, "bc"))
 
 
 @dataclass(frozen=True)
@@ -365,39 +359,16 @@ class QMatrix:
                              for i in row_idx))
 
     def rank(self) -> int:
-        a = [list(r) for r in self.entries]
-        rank = 0
-        for col in range(self.cols):
-            piv = next((i for i in range(rank, self.rows) if a[i][col] != 0), None)
-            if piv is None:
-                continue
-            a[rank], a[piv] = a[piv], a[rank]
-            scale = a[rank][col]
-            a[rank] = [x / scale for x in a[rank]]
-            for i in range(self.rows):
-                if i != rank and a[i][col]:
-                    factor = a[i][col]
-                    a[i] = [x - factor * y for x, y in zip(a[i], a[rank])]
-            rank += 1
-        return rank
+        return len(row_reduce(self.entries)[1])
 
     def inverse(self) -> "QMatrix":
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices invert")
         n = self.rows
-        a = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)]
-             for i, r in enumerate(self.entries)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-            if piv is None:
-                raise NotInvertibleBlock("singular block")
-            a[col], a[piv] = a[piv], a[col]
-            scale = a[col][col]
-            a[col] = [x / scale for x in a[col]]
-            for i in range(n):
-                if i != col and a[i][col]:
-                    factor = a[i][col]
-                    a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
+        a, pivots = row_reduce([list(r) + [1 if i == j else 0 for j in range(n)]
+                                for i, r in enumerate(self.entries)])
+        if pivots != list(range(n)):
+            raise NotInvertibleBlock("singular block")
         return QMatrix(n, n, tuple(tuple(row[n:]) for row in a))
 
 

@@ -9,7 +9,6 @@ by an explicit row-transformation matrix between incidence matrices.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -22,8 +21,10 @@ from .errors import (
     NotSurface,
     NotUnimodular,
     RankMismatch,
+    TooLarge,
+    WORK_LIMIT,
 )
-from .fan import Fan, walls
+from .fan import Fan, ccw_order, walls
 from .lattice import (
     IntMatrix,
     SublatticeClass,
@@ -97,6 +98,9 @@ def mv_ladder(fan: Fan) -> MayerVietorisLadder:
     if not fan.is_good():
         raise NotGood("the ladder is defined for good fans")
     tops = fan.top_cones()
+    if 2 ** len(tops) - 1 > WORK_LIMIT:
+        raise TooLarge(f"a ladder on {len(tops)} top cones has 2^{len(tops)} - 1 "
+                       f"summands, over the limit of {WORK_LIMIT}")
     terms: list[tuple[LadderSummand, ...]] = [()]
     for k in range(1, len(tops) + 1):
         summands = []
@@ -202,34 +206,6 @@ class SurfaceIncidence:
     ray_order: tuple[tuple[int, int], ...]
 
 
-def _clockwise_rays(fan: Fan, start_ray: int) -> list[int]:
-    rays = fan.rays
-    start = rays[start_ray]
-
-    def cross(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    def angle_class(v):
-        c = cross(start, v)
-        if c > 0:
-            return 1            # strictly ccw of start, first half turn
-        if c == 0:
-            return 2            # opposite ray
-        return 3                # second half turn
-
-    def ccw_cmp(i, j):
-        u, v = rays[i], rays[j]
-        cu, cv = angle_class(u), angle_class(v)
-        if cu != cv:
-            return -1 if cu < cv else 1
-        c = cross(u, v)
-        return -1 if c > 0 else (1 if c < 0 else 0)
-
-    rest = [i for i in range(len(rays)) if i != start_ray]
-    ccw = sorted(rest, key=functools.cmp_to_key(ccw_cmp))
-    return [start_ray] + list(reversed(ccw))
-
-
 def incidence_matrix(fan: Fan, start_ray: int) -> SurfaceIncidence:
     """The signed incidence matrix of a proper good surface fan.
 
@@ -245,7 +221,9 @@ def incidence_matrix(fan: Fan, start_ray: int) -> SurfaceIncidence:
     if not 0 <= start_ray < len(fan.rays):
         raise NotSurface(f"no ray with index {start_ray}")
     tops = fan.top_cones()
-    order = _clockwise_rays(fan, start_ray)
+    # Clockwise from the start ray: the counter-clockwise order reversed.
+    ccw = ccw_order(fan.rays, fan.rays[start_ray])
+    order = ccw[:1] + ccw[:0:-1]
     m = len(tops)
     entries = [[0] * m for _ in range(m)]
     for col, ray in enumerate(order):

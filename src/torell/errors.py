@@ -1,12 +1,20 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the cap on input work.
 
 Every failure mode that callers are expected to handle has its own class so
 CLI and tests can distinguish input errors from violated preconditions.
 """
 
+# The most lattice points, ladder summands or similar items one input may
+# make torell list; larger requests raise TooLarge before the work starts.
+WORK_LIMIT = 2 ** 16
+
 
 class TorellError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class TooLarge(TorellError):
+    """The input asks for more than WORK_LIMIT items of work."""
 
 
 # --- integer linear algebra ---------------------------------------------

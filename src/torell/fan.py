@@ -9,6 +9,7 @@ queries are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
@@ -34,6 +35,25 @@ def _normalize_cone(cone: Sequence[int], nrays: int) -> Cone:
     if cone and (cone[0] < 0 or cone[-1] >= nrays):
         raise MalformedFan(f"ray index out of range in cone {cone}")
     return cone
+
+
+def ccw_order(vectors: Sequence[Sequence[int]], start: Sequence[int]) -> list[int]:
+    """Indices of nonzero plane vectors, counter-clockwise by angle from start.
+
+    Angles are taken in [0, 2pi) from the direction of start; vectors of
+    equal angle keep their input order.
+    """
+    def angle_key(i):
+        v = vectors[i]
+        cross = start[0] * v[1] - start[1] * v[0]
+        dot = start[0] * v[0] + start[1] * v[1]
+        if cross:
+            # Within either open half turn the cotangent dot/cross falls
+            # as the angle grows.
+            return (1 if cross > 0 else 3, Fraction(-dot, cross))
+        return (0 if dot > 0 else 2, 0)
+
+    return sorted(range(len(vectors)), key=angle_key)
 
 
 def _facets(cones: Iterable[Cone]) -> set[Cone]:
@@ -81,6 +101,9 @@ class Fan:
             seen.add(ray)
         if () not in self.cones:
             raise MalformedFan("the zero cone is missing")
+        # Closed under facets means closed under faces, and the faces of an
+        # independent set are independent: only maximal cones need a rank.
+        facets = _facets(self.cones)
         used = set()
         for cone in self.cones:
             if _normalize_cone(cone, len(self.rays)) != cone:
@@ -88,12 +111,12 @@ class Fan:
             if len(cone) > n:
                 raise MalformedFan(f"cone {cone} has too many rays")
             used.update(cone)
-            for k in range(len(cone)):
-                for face in combinations(cone, k):
-                    if face not in self.cones:
-                        raise MalformedFan(f"face {face} of {cone} is missing")
-            vectors = [self.rays[i] for i in cone]
-            if integer_rank(vectors, n) != len(cone):
+            for i in range(len(cone)):
+                facet = cone[:i] + cone[i + 1:]
+                if facet not in self.cones:
+                    raise MalformedFan(f"face {facet} of {cone} is missing")
+            if cone not in facets and integer_rank(
+                    [self.rays[i] for i in cone], n) != len(cone):
                 raise MalformedFan(f"rays of cone {cone} are linearly dependent")
         if used != set(range(len(self.rays))):
             raise MalformedFan("some listed ray appears in no cone")

@@ -21,7 +21,7 @@ from . import __version__
 from .cech import CechPoset, CoverElement, WitnessReport, classify
 from .ellinv import EllShadow, MayerVietorisLadder, SurfaceIncidence, Verdict
 from .errors import MalformedFan, ParseError, SchemaError, TorellError
-from .fan import Fan, FanReport
+from .fan import Fan, FanReport, ccw_order
 from .gkm import MomentGraph, PartialSkeleton
 from .lattice import SublatticeClass, primitive_normal
 from .triang import DerivedEquivalenceCertificate, LatticeSimplex, Triangulation
@@ -35,20 +35,28 @@ CORPUS_ENV = "TORELL_CORPUS"
 
 def parse_fan_document(data) -> tuple[Fan, dict]:
     """Parse JSON (or a bare ray list) into a validated fan plus metadata."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not UTF-8: {exc}") from exc
-    text = data.strip()
+    text = _text(data).strip()
     if not text.startswith("{"):
         return fan_from_ray_text(text), {}
+    doc = _load_json(text)
+    return _fan_from_dict(doc), doc.get("metadata", {})
+
+
+def _text(data) -> str:
+    if isinstance(data, bytes):
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8: {exc}") from exc
+    return data
+
+
+def _load_json(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
-    return _fan_from_dict(doc), doc.get("metadata", {})
 
 
 def parse_fan(data) -> Fan:
@@ -58,6 +66,16 @@ def parse_fan(data) -> Fan:
 def _is_int(x) -> bool:
     # JSON true/false load as bool, which Python counts as an int.
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_int_lists(doc: dict, key: str, what: str) -> None:
+    """Require doc[key] to be a list of lists of integers."""
+    items = doc[key]
+    if not isinstance(items, list):
+        raise SchemaError(f"{key} must be a list")
+    for k, item in enumerate(items):
+        if not isinstance(item, list) or not all(_is_int(x) for x in item):
+            raise SchemaError(f"{key}[{k}] is {json.dumps(item)}, not {what}")
 
 
 def _fan_from_dict(doc) -> Fan:
@@ -74,13 +92,8 @@ def _fan_from_dict(doc) -> Fan:
     cones = doc["cones"]
     if not _is_int(n) or n < 1:
         raise SchemaError(f"ambient_rank is {json.dumps(n)}, not a positive integer")
-    for key, items, what in (("rays", rays, "an integer vector"),
-                             ("cones", cones, "a list of ray indices")):
-        if not isinstance(items, list):
-            raise SchemaError(f"{key} must be a list")
-        for k, item in enumerate(items):
-            if not isinstance(item, list) or not all(_is_int(x) for x in item):
-                raise SchemaError(f"{key}[{k}] is {json.dumps(item)}, not {what}")
+    _check_int_lists(doc, "rays", "an integer vector")
+    _check_int_lists(doc, "cones", "a list of ray indices")
     for cone in cones:
         for i in cone:
             if not 0 <= i < len(rays):
@@ -121,19 +134,9 @@ def complete_surface_fan(rays: Sequence[Sequence[int]]) -> Fan:
     rays = [tuple(int(x) for x in r) for r in rays]
     if any(len(r) != 2 for r in rays):
         raise SchemaError("ray-list input builds surface fans only")
-    import functools
-
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    def cmp(i, j):
-        u, v = rays[i], rays[j]
-        if half(u) != half(v):
-            return -1 if half(u) < half(v) else 1
-        c = u[0] * v[1] - u[1] * v[0]
-        return -1 if c > 0 else (1 if c < 0 else 0)
-
-    order = sorted(range(len(rays)), key=functools.cmp_to_key(cmp))
+    if not all(any(r) for r in rays):
+        raise MalformedFan("zero vector is not a ray")
+    order = ccw_order(rays, (1, 0))
     if len(order) < 3:
         raise MalformedFan("a complete surface fan needs at least three rays")
     for k in range(len(order)):
@@ -349,20 +352,16 @@ def triangulation_json(t: Triangulation) -> dict:
 
 
 def parse_triangulation(data) -> Triangulation:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno,
-                         column=exc.colno) from exc
+    doc = _load_json(_text(data))
     if not isinstance(doc, dict):
         raise SchemaError("triangulation document must be a JSON object")
     for key in ("vertices", "cells"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
+    _check_int_lists(doc, "vertices", "an integer vector")
+    _check_int_lists(doc, "cells", "a list of point indices")
     simplex = LatticeSimplex.from_vertices([tuple(v) for v in doc["vertices"]])
-    cells = tuple(sorted(tuple(sorted(int(i) for i in c)) for c in doc["cells"]))
+    cells = tuple(sorted(tuple(sorted(c)) for c in doc["cells"]))
     for cell in cells:
         for i in cell:
             if not 0 <= i < len(simplex.points):

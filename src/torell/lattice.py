@@ -233,30 +233,47 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1."""
+    """Exact inverse of a matrix with determinant +-1.
+
+    The Hermite form of a unimodular matrix is the identity, so the
+    transform U with U A = H is the inverse.
+    """
     if m.rows != m.cols:
         raise NonSquare("only square matrices invert")
     n = m.rows
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m.entries)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+    h, u, pivots = _hnf_transform(m.entries, n)
+    if len(pivots) != n:
+        raise NonSquare("matrix is singular")
+    if any(h[i][i] != 1 for i in range(n)):
+        raise NonSquare("matrix is not unimodular")
+    return IntMatrix.from_rows(u)
+
+
+def row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q by exact Gauss-Jordan elimination.
+
+    Returns (R, pivots): R has the input's row space over Q, every pivot is
+    1 and the only nonzero entry of its column, zero rows come last, and
+    pivots lists the pivot column of each nonzero row.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
         if piv is None:
-            raise NonSquare("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        scale = a[r][col]
+        a[r] = [x / scale for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
                 factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-    inv = []
-    for i in range(n):
-        row = a[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise NonSquare("matrix is not unimodular")
-        inv.append(tuple(int(x) for x in row))
-    return IntMatrix(tuple(inv))
+                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
 
 
 def is_primitive(v: Sequence[int]) -> bool:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import combinations, product
+from math import lcm, prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -22,10 +22,12 @@ from .errors import (
     NotDim2,
     NotInSL,
     NotUnimodular,
+    TooLarge,
     TorellError,
+    WORK_LIMIT,
 )
 from .fan import Fan
-from .lattice import IntMatrix, _hnf_transform, determinant
+from .lattice import IntMatrix, determinant, hnf, integer_solver, kernel_basis, row_reduce
 
 Point = tuple
 
@@ -74,44 +76,37 @@ class LatticeSimplex:
 
 
 def _enumerate_points(vertices, dim):
-    lows = [min(v[i] for v in vertices) for i in range(dim)]
-    highs = [max(v[i] for v in vertices) for i in range(dim)]
+    ranges = [range(min(v[i] for v in vertices), max(v[i] for v in vertices) + 1)
+              for i in range(dim)]
+    box = prod(len(r) for r in ranges)
+    if box > WORK_LIMIT:
+        raise TooLarge(f"the simplex's bounding box holds {box} lattice points, "
+                       f"over the limit of {WORK_LIMIT}")
     base = vertices[0]
-    cols = [[Fraction(v[i] - base[i]) for v in vertices[1:]] for i in range(dim)]
+    # One inverse of the edge matrix gives every candidate's barycentric
+    # coordinates; scaled to integers, since only their signs matter.
+    edges = [[v[i] - base[i] for v in vertices[1:]] + [int(i == j) for j in range(dim)]
+             for i in range(dim)]
+    inverse = [row[dim:] for row in row_reduce(edges)[0]]
+    scale = lcm(*(x.denominator for row in inverse for x in row))
+    inverse = [[int(x * scale) for x in row] for row in inverse]
     points, boundary, interior = [], [], []
-    for candidate in _box(lows, highs):
-        rhs = [Fraction(candidate[i] - base[i]) for i in range(dim)]
-        lam = _solve_fractions(cols, rhs)
-        coords = [Fraction(1) - sum(lam)] + lam
+    for p in product(*ranges):
+        offset = [p[i] - base[i] for i in range(dim)]
+        lam = [sum(x * y for x, y in zip(row, offset)) for row in inverse]
+        coords = [scale - sum(lam)] + lam
         if all(c >= 0 for c in coords):
-            p = tuple(candidate)
             points.append(p)
             (boundary if any(c == 0 for c in coords) else interior).append(p)
     return tuple(sorted(points)), tuple(sorted(boundary)), tuple(sorted(interior))
 
 
-def _box(lows, highs):
-    if not lows:
-        yield ()
-        return
-    for head in range(lows[0], highs[0] + 1):
-        for tail in _box(lows[1:], highs[1:]):
-            yield (head,) + tail
-
-
 def _solve_fractions(rows, rhs):
-    """Solve the square rational system given by rows (list of lists)."""
+    """Solve the square nonsingular rational system given by rows."""
     n = len(rows)
-    a = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
+    a, pivots = row_reduce([list(rows[i]) + [rhs[i]] for i in range(n)])
+    if pivots != list(range(n)):
+        raise DimensionMismatch("the rational system is singular")
     return [a[i][n] for i in range(n)]
 
 
@@ -279,6 +274,10 @@ def quotient_simplex(generators: Iterable[Sequence], rank: Optional[int] = None)
     n = rank
     if n < 2:
         raise DimensionMismatch("the quotient construction needs rank >= 2")
+    # The bounding box of an (n-1)-simplex holds at least 2^(n-1) points.
+    if n - 1 >= WORK_LIMIT.bit_length():
+        raise TooLarge(f"a rank-{n} quotient simplex has at least 2^{n - 1} lattice "
+                       f"points in its bounding box, over the limit of {WORK_LIMIT}")
     if any(len(g) != n for g in gens):
         raise DimensionMismatch("generator weight vectors of unequal rank")
     for g in gens:
@@ -287,9 +286,10 @@ def quotient_simplex(generators: Iterable[Sequence], rank: Optional[int] = None)
     denom = lcm(1, *(x.denominator for g in gens for x in g)) if gens else 1
     rows = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
     rows += [[int(x * denom) for x in g] for g in gens]
-    h, _, pivots = _hnf_transform(rows, n)
-    if len(pivots) != n:
-        raise DimensionMismatch(f"refined lattice has rank {len(pivots)}, not {n}")
+    h = hnf(IntMatrix.from_rows(rows)).entries
+    refined_rank = sum(1 for row in h if any(row))
+    if refined_rank != n:
+        raise DimensionMismatch(f"refined lattice has rank {refined_rank}, not {n}")
     basis = [tuple(Fraction(x, denom) for x in h[i]) for i in range(n)]
     heights = [sum(b) for b in basis]
     if any(x.denominator != 1 for x in heights):
@@ -351,16 +351,16 @@ def simplices_equivalent(s1: LatticeSimplex, s2: LatticeSimplex) -> bool:
 
 
 def _height_normalizer(heights: list[int]) -> list[list[int]]:
-    """Unimodular U (as U[j][k]) with sum-row . U = (0, ..., 0, 1)."""
-    n = len(heights)
-    h, u, pivots = _hnf_transform([[x] for x in heights], 1)
-    if pivots != [0] or h[0][0] != 1:
+    """Unimodular U (as U[j][k]) with sum-row . U = (0, ..., 0, 1).
+
+    Its columns are a kernel basis of the heights followed by one integer
+    combination of them reaching 1.
+    """
+    unit = integer_solver(IntMatrix.from_rows([heights]))((1,))
+    if unit is None:
         raise NotInSL(f"heights {heights} do not generate Z")
-    # u rows combine the heights: row 0 reaches gcd 1, the rest reach 0.
-    # Columns of the result are the new basis coefficient vectors, with the
-    # gcd row moved to the last position.
-    order = list(range(1, n)) + [0]
-    return [[u[order[k]][j] for k in range(n)] for j in range(n)]
+    columns = kernel_basis([heights], len(heights)) + [unit]
+    return [list(row) for row in zip(*columns)]
 
 
 def unimodular_triangulations(simplex: LatticeSimplex, limit: int = 10000) -> tuple[Triangulation, ...]:

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from torell.errors import TorellError
+from torell.errors import MalformedFan, TorellError
 from torell.fan import Fan, validate
 from torell.fan_io import complete_surface_fan, corpus_names, load_corpus_fan
+from torell.triang import cone_fan, quotient_simplex, unimodular_triangulations
 
 CORPUS = (
     "affine1", "affine2", "affine3",
@@ -101,3 +105,40 @@ def single_reversal_pairs(rng: random.Random, want: int,
                 pairs.append((fan, flipped, ray))
                 break
     return pairs
+
+
+def blowup_surfaces():
+    """Blow-ups of the minimal surfaces plus single-ray-reversal pairs."""
+    rng = random.Random(2024)
+    fans = [complete_surface_fan(random_blowup_rays(rng, steps))
+            for steps in (0, 1, 3, 8, 20, 40)]
+    for fan, flipped, _ in single_reversal_pairs(rng, 3):
+        fans += [fan, flipped]
+    return fans
+
+
+def three_delta_cone_fans():
+    """The cone fans of all 79 unimodular triangulations of 3Δ."""
+    simplex = quotient_simplex([("1/3", "2/3", "0"), ("1/3", "0", "2/3")])
+    triangulations = unimodular_triangulations(simplex)
+    assert len(triangulations) == 79
+    return [cone_fan(t) for t in triangulations]
+
+
+@st.composite
+def random_fans(draw):
+    """Small fans in ranks 1 to 3; most are not good, some not smooth."""
+    n = draw(st.integers(1, 3))
+    vectors = draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * n).filter(lambda v: gcd(*v) == 1),
+        min_size=1, max_size=7, unique=True))
+    generators = draw(st.lists(
+        st.lists(st.integers(0, len(vectors) - 1), min_size=1, max_size=n, unique=True),
+        min_size=1, max_size=8))
+    used = sorted({i for cone in generators for i in cone})
+    new_index = {old: new for new, old in enumerate(used)}
+    try:
+        return Fan.from_cones(n, [vectors[i] for i in used],
+                              [[new_index[i] for i in cone] for cone in generators])
+    except MalformedFan:             # dependent rays in a cone
+        assume(False)

@@ -1,22 +1,34 @@
-"""Direct definitions of fan incidence and saturation, kept as test oracles.
+"""Direct definitions of fan incidence, saturation and the Čech poset,
+kept as test oracles.
 
-These are the subset scans and double-kernel saturation the library used
-before it derived one incidence index per fan and closed forms for single
-vectors and normals.  They are slow but follow the definitions literally,
-so the fast code is checked against them.
+These are the subset scans, double-kernel saturation and meet-closure
+fixpoint the library used before it derived one incidence index per fan,
+closed forms for single vectors and normals, and the closed-form list of
+the Čech poset.  They are slow but follow the definitions literally, so
+the fast code is checked against them.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations, product
 
+from torell.cech import CoverElement, letter_meet
+from torell.errors import DisconnectedStar, NotGood, TorellError
 from torell.lattice import (
     IntMatrix,
     SublatticeClass,
     _hnf_transform,
+    integer_rank,
     inverse_unimodular,
     is_unimodular_basis,
     kernel_basis,
     sign_normalized,
 )
+
+
+def closed_and_independent(n, rays, cones):
+    """Every face of every cone is listed and every cone's rays are
+    independent, checked cone by cone and face by face."""
+    return all(face in cones and integer_rank([rays[i] for i in cone], n) == len(cone)
+               for cone in cones for k in range(len(cone)) for face in combinations(cone, k))
 
 
 def top_cones(fan):
@@ -93,3 +105,82 @@ def fan_isomorphic(f, g):
                 if mapped == set(g.cones):
                     return m
     return None
+
+
+# --- the Čech poset as the closure of the cover under meets ------------------
+
+def _star_connected(tops, star):
+    """Grow one wall-connected component inside the star until it stops."""
+    n = len(tops[0])
+    component = {star[0]}
+    grown = True
+    while grown:
+        grown = False
+        for j in star:
+            if j not in component and any(
+                    len(set(tops[i]) & set(tops[j])) == n - 1 for i in component):
+                component.add(j)
+                grown = True
+    return len(component) == len(star)
+
+
+def build_element(tops, letters):
+    """The open with the given non-a letters, spread over its star."""
+    rho = frozenset(letters)
+    support = tuple(i for i, cone in enumerate(tops) if rho <= set(cone))
+    if not support:
+        raise NotGood(f"rays {tuple(sorted(rho))} lie on no top cone")
+    if not _star_connected(tops, support):
+        raise DisconnectedStar(
+            f"star of cone with rays {tuple(sorted(rho))} is not wall-connected")
+    return CoverElement(
+        support=support,
+        words=tuple("".join(letters.get(r, "a") for r in tops[i]) for i in support),
+        grade=sum(1 for v in letters.values() if v == "c"),
+        ray_letters=tuple(sorted(letters.items())),
+    )
+
+
+def meet(tops, e1, e2):
+    """Intersection of two elements; None when the opens are disjoint."""
+    common = set(e1.support) & set(e2.support)
+    if not common:
+        return None
+    d1, d2 = dict(e1.ray_letters), dict(e2.ray_letters)
+    letters = {r: letter_meet(d1.get(r, "a"), d2.get(r, "a")) for r in set(d1) | set(d2)}
+    element = build_element(tops, letters)
+    if set(element.support) != common:
+        raise TorellError(f"meet has support {element.support}, "
+                          f"not the common charts {tuple(sorted(common))}")
+    return element
+
+
+def cover(fan):
+    """Seed one element per top cone and a/b word; duplicates collapse."""
+    if not fan.is_good():
+        raise NotGood("the distinguished cover is defined for good fans")
+    tops = fan.top_cones()
+    seen = {}
+    for cone in tops:
+        for pattern in product("ab", repeat=fan.ambient_rank):
+            letters = {ray: "b" for ray, letter in zip(cone, pattern) if letter == "b"}
+            element = build_element(tops, letters)
+            seen[element.ray_letters] = element
+    return tuple(sorted(seen.values(), key=lambda e: e.sort_key()))
+
+
+def cech_elements(fan):
+    """Close the cover under pairwise meets until nothing new appears."""
+    tops = fan.top_cones()
+    elements = {e.ray_letters: e for e in cover(fan)}
+    changed = True
+    while changed:
+        changed = False
+        current = list(elements.values())
+        for i, e1 in enumerate(current):
+            for e2 in current[i + 1:]:
+                met = meet(tops, e1, e2)
+                if met is not None and met.ray_letters not in elements:
+                    elements[met.ray_letters] = met
+                    changed = True
+    return tuple(sorted(elements.values(), key=lambda e: e.sort_key()))

@@ -1,12 +1,16 @@
 """Covers, the graded intersection poset, witnesses, complex reduction."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from torell.cech import (
     FiniteComplex,
     QMatrix,
@@ -27,7 +31,31 @@ from torell.errors import (
 from torell.fan import Fan
 from torell.fan_io import complete_surface_fan
 
-from conftest import random_blowup_rays
+from conftest import (
+    blowup_surfaces,
+    random_blowup_rays,
+    random_fans,
+    three_delta_cone_fans,
+)
+
+
+def projective_line_power(n):
+    """(P^1)^n: rays +-e_i, one top cone per choice of signs."""
+    rays = [tuple(s if j == i else 0 for j in range(n)) for i in range(n) for s in (1, -1)]
+    cones = [tuple(2 * i + k for i, k in enumerate(signs)) for signs in product((0, 1), repeat=n)]
+    return Fan.from_cones(n, rays, cones)
+
+
+@st.composite
+def orthant_fans(draw):
+    """Unions of coordinate orthants in rank 1 to 3: good fans, some with a
+    star that is not wall-connected."""
+    full = projective_line_power(draw(st.integers(1, 3)))
+    tops = draw(st.lists(st.sampled_from(full.top_cones()), min_size=1, unique=True))
+    used = sorted({i for cone in tops for i in cone})
+    new_index = {old: new for new, old in enumerate(used)}
+    return Fan.from_cones(full.ambient_rank, [full.rays[i] for i in used],
+                          [[new_index[i] for i in cone] for cone in tops])
 
 
 class TestCubePoset:
@@ -213,6 +241,53 @@ class TestCechPoset:
                         assert met.ray_letters in keys
                     if poset.leq(e1, e2) and poset.leq(e2, e1):
                         assert e1 == e2
+
+
+class TestClosedFormAgainstClosure:
+    """The listed cover and poset equal the meet-closure fixpoint, in order."""
+
+    def assert_agrees(self, fan):
+        assert cover(fan) == oracles.cover(fan)
+        poset = cech_poset(fan)
+        assert poset.elements == oracles.cech_elements(fan)
+        assert len(poset.elements) == sum(2 ** len(c) for c in fan.cones)
+
+    def test_corpus(self, corpus_fans):
+        for fan in corpus_fans.values():
+            self.assert_agrees(fan)
+
+    def test_blowup_surfaces(self):
+        for fan in blowup_surfaces():
+            self.assert_agrees(fan)
+
+    def test_projective_line_powers(self):
+        for n in (1, 2, 3):
+            fan = projective_line_power(n)
+            self.assert_agrees(fan)
+            assert len(cech_poset(fan).elements) == 5 ** n
+
+    def test_three_delta_cone_fans(self):
+        for fan in three_delta_cone_fans():
+            self.assert_agrees(fan)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_fans(), orthant_fans()))
+    def test_random_fans(self, fan):
+        try:
+            expected = oracles.cech_elements(fan)
+        except (NotGood, DisconnectedStar) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                cech_poset(fan)
+            return
+        assert cech_poset(fan).elements == expected
+        assert cover(fan) == oracles.cover(fan)
+
+    def test_meet_is_the_closure_meet(self, corpus_fans):
+        for fan in (corpus_fans["p2"], corpus_fans["flop3_a"]):
+            poset = cech_poset(fan)
+            for e1 in poset.elements:
+                for e2 in poset.elements:
+                    assert poset.meet(e1, e2) == oracles.meet(poset.tops, e1, e2)
 
 
 class TestClassify:

@@ -200,3 +200,61 @@ def test_cech_report_matches_separate_cover_and_witness():
         assert result["cover_size"] == len(cover(fan))
         expected = json.loads(json.dumps(cech_json(cech_poset(fan), cohomology_witness(fan))))
         assert {k: result[k] for k in expected} == expected
+
+
+def mu2_document(**changes):
+    from torell.fan_io import triangulation_json
+    from torell.triang import mu2_kernel_triangulations
+
+    doc = triangulation_json(mu2_kernel_triangulations()[0])
+    for key, change in changes.items():
+        doc[key] = change(doc[key])
+    return doc
+
+
+def flop_on(tmp_path, doc):
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(doc))
+    return run_cli("flop", str(path), "--list")
+
+
+def test_triangulation_cells_not_a_list_exit_two(tmp_path):
+    assert_input_error(flop_on(tmp_path, mu2_document(cells=lambda _: 5)), "cells")
+
+
+def test_triangulation_boolean_point_index_exits_two(tmp_path):
+    doc = mu2_document(cells=lambda cells: [[0, True, 2]] + cells[1:])
+    assert_input_error(flop_on(tmp_path, doc), "cells[0]")
+
+
+def test_triangulation_boolean_coordinate_exits_two(tmp_path):
+    doc = mu2_document(vertices=lambda vs: [[False, 0]] + vs[1:])
+    assert_input_error(flop_on(tmp_path, doc), "vertices[0]")
+
+
+def test_triangulation_string_coordinate_exits_two(tmp_path):
+    doc = mu2_document(vertices=lambda vs: [["0", "0"]] + vs[1:])
+    assert_input_error(flop_on(tmp_path, doc), "vertices[0]")
+
+
+def test_triangulation_that_is_not_utf8_exits_two(tmp_path):
+    path = tmp_path / "tri.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert_input_error(run_cli("flop", str(path), "--list"), "UTF-8")
+
+
+def test_huge_rank_is_refused_at_once():
+    assert_input_error(run_cli("mckay-example", "--rank", "100000"), "rank-100000")
+
+
+def test_huge_group_order_is_refused_before_enumeration():
+    assert_input_error(run_cli("mckay-example", "--generators", "1/100000,99999/100000"),
+                       "100001 lattice points")
+
+
+def test_ladder_on_more_than_sixteen_top_cones_is_refused(tmp_path):
+    # Seventeen blow-ups of P^2 along the first wall: 20 rays, 20 top cones.
+    rays = [(1, 0), (0, 1), (-1, -1)] + [(k, 1) for k in range(1, 18)]
+    path = tmp_path / "surface.txt"
+    path.write_text(" ".join(f"({x},{y})" for x, y in rays))
+    assert_input_error(run_cli("invariant", str(path), "--ladder"), "20 top cones")

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 import oracles
 from torell.errors import MalformedFan, NotGood
 from torell.fan import Fan, fan_isomorphic, walls
-from torell.fan_io import complete_surface_fan
 from torell.lattice import IntMatrix, primitive_normal, saturate, span_class
-from torell.triang import cone_fan, quotient_simplex, unimodular_triangulations
 
-from conftest import random_blowup_rays, shuffled_fan, single_reversal_pairs
+from conftest import blowup_surfaces, random_fans, shuffled_fan, three_delta_cone_fans
 
 
 def assert_agrees(fan):
@@ -38,22 +36,6 @@ def assert_agrees(fan):
     assert [(w.cone, w.upper) for w in found] == expected
     assert [w.span for w in found] == [
         oracles.saturate([fan.rays[i] for i in w], n) for w, _ in expected]
-
-
-def blowup_surfaces():
-    rng = random.Random(2024)
-    fans = [complete_surface_fan(random_blowup_rays(rng, steps))
-            for steps in (0, 1, 3, 8, 20, 40)]
-    for fan, flipped, _ in single_reversal_pairs(rng, 3):
-        fans += [fan, flipped]
-    return fans
-
-
-def three_delta_cone_fans():
-    simplex = quotient_simplex([("1/3", "2/3", "0"), ("1/3", "0", "2/3")])
-    triangulations = unimodular_triangulations(simplex)
-    assert len(triangulations) == 79
-    return [cone_fan(t) for t in triangulations]
 
 
 class TestIndexAgainstScans:
@@ -94,26 +76,35 @@ class TestIndexAgainstScans:
         assert p2._incidence is p2._incidence
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_random_fans(self, data):
-        n = data.draw(st.integers(1, 3))
-        vectors = data.draw(st.lists(
-            st.tuples(*[st.integers(-2, 2)] * n).filter(lambda v: gcd(*v) == 1),
-            min_size=1, max_size=7, unique=True))
-        generators = data.draw(st.lists(
-            st.lists(st.integers(0, len(vectors) - 1), min_size=1, max_size=n, unique=True),
-            min_size=1, max_size=8))
-        used = sorted({i for cone in generators for i in cone})
-        new_index = {old: new for new, old in enumerate(used)}
-        try:
-            fan = Fan.from_cones(n, [vectors[i] for i in used],
-                                 [[new_index[i] for i in cone] for cone in generators])
-        except MalformedFan:             # dependent rays in a cone
-            assume(False)
+    @given(random_fans())
+    def test_random_fans(self, fan):
         event("smooth" if fan.is_smooth() else "not smooth")
         event("good" if fan.is_good() else "not good")
         event("proper" if fan.is_proper() else "not proper")
         assert_agrees(fan)
+
+
+class TestValidationAgainstFaceScan:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_cone_sets(self, data):
+        # Cone sets that need not be closed under faces: checking facets and
+        # the ranks of maximal cones accepts exactly what checking every
+        # face and every cone accepts.
+        n = data.draw(st.integers(1, 3))
+        rays = data.draw(st.lists(
+            st.tuples(*[st.integers(-2, 2)] * n).filter(lambda v: gcd(*v) == 1),
+            min_size=1, max_size=6, unique=True))
+        cones = data.draw(st.sets(
+            st.sets(st.integers(0, len(rays) - 1), max_size=n).map(lambda c: tuple(sorted(c))),
+            max_size=12))
+        cones = frozenset(cones | {()} | {(i,) for i in range(len(rays))})
+        try:
+            Fan(n, tuple(rays), cones)
+            accepted = True
+        except MalformedFan:
+            accepted = False
+        assert accepted == oracles.closed_and_independent(n, rays, cones)
 
 
 class TestFanIsomorphicAgainstScan:
