@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import (
+    FansMismatch,
     NotGood,
     NotProper,
     NotSingleFlip,
@@ -31,7 +32,7 @@ from .lattice import (
     determinant,
     integer_solver,
     kernel_basis,
-    saturate,
+    sign_normalized,
     span_class,
 )
 
@@ -134,8 +135,21 @@ class Verdict:
 
 def ray_line_classes(fan: Fan) -> list[SublatticeClass]:
     """The multiset of lines spanned by the rays, as canonical classes."""
-    return sorted((saturate([r], fan.ambient_rank) for r in fan.rays),
-                  key=lambda s: s.sort_key())
+    return [SublatticeClass(fan.ambient_rank, (line,))
+            for line in sorted(sign_normalized(r) for r in fan.rays)]
+
+
+def _lines(fan: Fan) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The rays grouped by the line they span.
+
+    A fan's rays are primitive, so the line of a ray is the basis of its
+    saturation: the ray itself, sign-normalised.  Ordering lines by that
+    vector is ordering their classes by ``sort_key``.
+    """
+    groups: dict = {}
+    for ray in fan.rays:
+        groups.setdefault(sign_normalized(ray), []).append(ray)
+    return groups
 
 
 def compare(a: EllShadow, b: EllShadow,
@@ -165,31 +179,18 @@ def compare(a: EllShadow, b: EllShadow,
     if fans is not None:
         fa, fb = fans
         if ell_shadow(fa) != a or ell_shadow(fb) != b:
-            raise ValueError("supplied fans do not match the shadows under comparison")
+            raise FansMismatch("supplied fans do not match the shadows under comparison")
         if fa.ambient_rank == 2 and fa.is_good() and fb.is_good():
-            lines_a = ray_line_classes(fa)
-            lines_b = ray_line_classes(fb)
-            if lines_a == lines_b:
-                pairing = _ray_bijection(fa, fb)
+            lines_a, lines_b = _lines(fa), _lines(fb)
+            if lines_a.keys() == lines_b.keys() and all(
+                    len(rays) == len(lines_b[line]) for line, rays in lines_a.items()):
+                # Pair up the rays line by line.
+                pairing = tuple(pair for line in sorted(lines_a)
+                                for pair in zip(sorted(lines_a[line]), sorted(lines_b[line])))
                 return Verdict(ISOMORPHIC,
                                Witness("surface-ray-line-bijection", pairing),
                                RULE_SURFACE)
     return Verdict(UNKNOWN, None, RULE_NECESSARY_ONLY)
-
-
-def _ray_bijection(fa: Fan, fb: Fan) -> tuple:
-    """Pair up rays of two surfaces line class by line class."""
-    def grouped(fan):
-        groups: dict = {}
-        for ray in fan.rays:
-            groups.setdefault(saturate([ray], fan.ambient_rank), []).append(ray)
-        return groups
-    ga, gb = grouped(fa), grouped(fb)
-    pairs = []
-    for cls in sorted(ga, key=lambda s: s.sort_key()):
-        for ra, rb in zip(sorted(ga[cls]), sorted(gb[cls])):
-            pairs.append((ra, rb))
-    return tuple(pairs)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,10 @@ class RankMismatch(TorellError):
     """Invariants over ambient lattices of different ranks were compared."""
 
 
+class FansMismatch(TorellError):
+    """Fans supplied with two invariants are not the fans they come from."""
+
+
 class NotSurface(TorellError):
     """A two-dimensional fan was required."""
 

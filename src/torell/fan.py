@@ -8,6 +8,7 @@ queries are pure functions.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -18,6 +19,7 @@ from .errors import MalformedFan, NotGood, NotTopCone, NotUnimodular
 from .lattice import (
     IntMatrix,
     SublatticeClass,
+    determinant,
     integer_rank,
     inverse_unimodular,
     is_primitive,
@@ -102,7 +104,8 @@ class Fan:
         if () not in self.cones:
             raise MalformedFan("the zero cone is missing")
         # Closed under facets means closed under faces, and the faces of an
-        # independent set are independent: only maximal cones need a rank.
+        # independent set are independent: only maximal cones need a rank,
+        # and n rays are independent when their determinant is nonzero.
         facets = _facets(self.cones)
         used = set()
         for cone in self.cones:
@@ -115,11 +118,38 @@ class Fan:
                 facet = cone[:i] + cone[i + 1:]
                 if facet not in self.cones:
                     raise MalformedFan(f"face {facet} of {cone} is missing")
-            if cone not in facets and integer_rank(
-                    [self.rays[i] for i in cone], n) != len(cone):
+            if cone in facets:
+                continue
+            rows = [self.rays[i] for i in cone]
+            independent = (determinant(IntMatrix(tuple(rows))) != 0 if len(cone) == n
+                           else integer_rank(rows, n) == len(cone))
+            if not independent:
                 raise MalformedFan(f"rays of cone {cone} are linearly dependent")
         if used != set(range(len(self.rays))):
             raise MalformedFan("some listed ray appears in no cone")
+        if n == 2:
+            self._check_plane_cones()
+
+    def _check_plane_cones(self):
+        """Refuse a 2-cone with a ray of the fan strictly inside it.
+
+        Two planar cones, each narrower than a half turn, meet in a common
+        face exactly when neither holds another's ray in its interior, so
+        this is the fan axiom in the plane: the two rays of every 2-cone
+        must be neighbours in the counter-clockwise order of all rays,
+        read from the ray where the cone's short angle starts.
+        """
+        order = ccw_order(self.rays, (1, 0))
+        after = {r: order[(k + 1) % len(order)] for k, r in enumerate(order)}
+        for cone in self.cones:
+            if len(cone) != 2:
+                continue
+            i, j = cone
+            (u0, u1), (v0, v1) = self.rays[i], self.rays[j]
+            first, second = (i, j) if u0 * v1 - u1 * v0 > 0 else (j, i)
+            if after[first] != second:
+                raise MalformedFan(
+                    f"ray {self.rays[after[first]]} lies inside cone {cone}")
 
     @classmethod
     def from_cones(cls, ambient_rank: int, rays: Iterable[Sequence[int]],
@@ -268,23 +298,58 @@ def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
         return None
     sigma0 = f.top_cones()[0]
     vinv = inverse_unimodular(f.ray_matrix(sigma0))
-    # Every ray of f in the chart coordinates of sigma0: a candidate map
-    # sends it to the same combination of the image basis.
-    coords = [vinv.apply(ray) for ray in f.rays]
+    # The other top cones of f, each with the chart coordinates of sigma0
+    # of the rays it adds, in the order a walk across walls from sigma0
+    # meets them: a wrong candidate fails on a neighbour of sigma0.
+    steps = [(top, [(i, vinv.apply(f.rays[i])) for i in new])
+             for top, new in _tops_by_wall_distance(f, sigma0)[1:]]
     ray_index = {ray: i for i, ray in enumerate(g.rays)}
+    g_tops = set(g.top_cones())
+
+    def carries(image):
+        # The candidate sends the rays of sigma0 to those of image, and
+        # every other ray to the same combination of the image basis.
+        rows = tuple(zip(*(g.rays[j] for j in image)))
+        mapping = dict(zip(sigma0, image))
+        for top, new in steps:
+            for i, c in new:
+                j = ray_index.get(tuple(sum(a * b for a, b in zip(row, c)) for row in rows))
+                if j is None:
+                    return False
+                mapping[i] = j
+            if tuple(sorted(mapping[i] for i in top)) not in g_tops:
+                return False
+        # Every cone of a good fan is a face of a top cone, so f's cones
+        # land on g's; the map is injective and both fans have as many
+        # cones, so it hits all of them.
+        return True
+
     for tau in g.top_cones():
         for image in permutations(tau):
-            w = IntMatrix.from_columns([g.rays[i] for i in image])
-            mapping = []
-            for c in coords:
-                j = ray_index.get(w.apply(c))
-                if j is None:
-                    break
-                mapping.append(j)
-            else:
-                # The map is injective and both fans have as many cones, so
-                # landing inside g's cones means hitting all of them.
-                if all(tuple(sorted(mapping[i] for i in cone)) in g.cones
-                       for cone in f.cones):
-                    return w @ vinv
+            if carries(image):
+                return IntMatrix.from_columns([g.rays[j] for j in image]) @ vinv
     return None
+
+
+def _tops_by_wall_distance(fan: Fan, start: Cone) -> list[tuple[Cone, tuple[int, ...]]]:
+    """Every top cone with the rays it is first to hold, breadth first
+    across walls from start; a part the walk cannot reach is walked next
+    from its smallest top cone.  In a good fan every ray is listed."""
+    upper = fan._incidence.upper
+    seen_tops, seen_rays = set(), set()
+    steps = []
+    for root in (start,) + fan.top_cones():
+        if root in seen_tops:
+            continue
+        seen_tops.add(root)
+        queue = deque([root])
+        while queue:
+            top = queue.popleft()
+            steps.append((top, tuple(i for i in top if i not in seen_rays)))
+            seen_rays.update(top)
+            for k in range(len(top)):
+                for neighbour in upper[top[:k] + top[k + 1:]]:
+                    if neighbour not in seen_tops:
+                        seen_tops.add(neighbour)
+                        queue.append(neighbour)
+    return steps

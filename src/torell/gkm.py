@@ -48,7 +48,8 @@ def moment_graph(fan: Fan) -> MomentGraph:
     edges = []
     for wall in walls(fan):
         edges.append(GraphEdge(
-            endpoints=tuple(sorted(index[c] for c in wall.upper)),
+            # A wall's top cones come in sorted order, so their ids ascend.
+            endpoints=tuple(index[c] for c in wall.upper),
             label=primitive_normal(wall.span),
             isotropy=wall.span,
             compact=wall.interior,

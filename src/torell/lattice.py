@@ -87,10 +87,15 @@ def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if m.rows != m.cols:
         raise NonSquare(f"{m.rows}x{m.cols} matrix has no determinant")
-    n = m.rows
+    return _bareiss(m.entries)
+
+
+def _bareiss(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of the square matrix with the given rows (Bareiss)."""
+    n = len(rows)
     if n == 0:
         return 1
-    a = [list(r) for r in m.entries]
+    a = [list(r) for r in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -354,10 +359,12 @@ def span_class(vectors: Sequence[Sequence[int]], ambient_rank: int) -> Sublattic
     saturated, for example when the vectors extend to a basis of Z^n; then
     it equals ``saturate(vectors)`` at the cost of one Hermite form.
     """
-    vectors = [_as_vector(v) for v in vectors]
-    if len(vectors) == 1 and any(vectors[0]):
-        # A single row is in Hermite form once its leading entry is positive.
-        return SublatticeClass(ambient_rank, (sign_normalized(vectors[0]),))
+    if len(vectors) == 1:
+        # A single nonzero row is in Hermite form once its leading entry is
+        # positive.
+        row = sign_normalized(vectors[0])
+        if any(row):
+            return SublatticeClass(ambient_rank, (row,))
     h, _, pivots = _hnf_transform(vectors, ambient_rank)
     return SublatticeClass(ambient_rank, tuple(tuple(r) for r in h[:len(pivots)]))
 
@@ -372,7 +379,7 @@ def primitive_normal(s: SublatticeClass) -> Vector:
     # The signed maximal minors of the basis rows (their generalised cross
     # product) are orthogonal to every row, and all vanish only when the
     # rows are dependent.
-    minors = [(-1) ** j * determinant(IntMatrix(tuple(row[:j] + row[j + 1:] for row in s.basis)))
+    minors = [(-1) ** j * _bareiss([row[:j] + row[j + 1:] for row in s.basis])
               for j in range(s.ambient_rank)]
     g = gcd(*minors)
     if g == 0:
@@ -382,7 +389,6 @@ def primitive_normal(s: SublatticeClass) -> Vector:
 
 def is_unimodular_basis(vectors: Sequence[Sequence[int]]) -> bool:
     """True exactly when the n given vectors in Z^n have determinant +-1."""
-    vectors = [_as_vector(v) for v in vectors]
     if not vectors or any(len(v) != len(vectors) for v in vectors):
         raise DimensionMismatch("need exactly n vectors of dimension n")
-    return abs(determinant(IntMatrix.from_rows(vectors))) == 1
+    return abs(_bareiss(vectors)) == 1

@@ -126,9 +126,11 @@ def three_delta_cone_fans():
 
 
 @st.composite
-def random_fans(draw):
-    """Small fans in ranks 1 to 3; most are not good, some not smooth."""
-    n = draw(st.integers(1, 3))
+def random_fan_data(draw, ranks=st.integers(1, 3)):
+    """(rank, rays, generating cones) of a small cone set in ranks 1 to 3:
+    distinct primitive rays, each in some cone; cones may overlap and
+    hold dependent rays."""
+    n = draw(ranks)
     vectors = draw(st.lists(
         st.tuples(*[st.integers(-2, 2)] * n).filter(lambda v: gcd(*v) == 1),
         min_size=1, max_size=7, unique=True))
@@ -137,8 +139,15 @@ def random_fans(draw):
         min_size=1, max_size=8))
     used = sorted({i for cone in generators for i in cone})
     new_index = {old: new for new, old in enumerate(used)}
+    return (n, [vectors[i] for i in used],
+            [[new_index[i] for i in cone] for cone in generators])
+
+
+@st.composite
+def random_fans(draw):
+    """Small fans in ranks 1 to 3; most are not good, some not smooth."""
+    n, rays, cones = draw(random_fan_data())
     try:
-        return Fan.from_cones(n, [vectors[i] for i in used],
-                              [[new_index[i] for i in cone] for cone in generators])
-    except MalformedFan:             # dependent rays in a cone
+        return Fan.from_cones(n, rays, cones)
+    except MalformedFan:             # dependent rays in a cone, or overlapping cones
         assume(False)

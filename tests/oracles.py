@@ -1,15 +1,18 @@
-"""Direct definitions of fan incidence, saturation and the Čech poset,
-kept as test oracles.
+"""Direct definitions of fan incidence, saturation, the Čech poset and
+surface comparison, kept as test oracles.
 
-These are the subset scans, double-kernel saturation and meet-closure
-fixpoint the library used before it derived one incidence index per fan,
-closed forms for single vectors and normals, and the closed-form list of
-the Čech poset.  They are slow but follow the definitions literally, so
-the fast code is checked against them.
+These are the subset scans, double-kernel saturation, meet-closure
+fixpoint and per-ray saturation the library used before it derived one
+incidence index per fan, closed forms for single vectors, normals and ray
+lines, and the closed-form list of the Čech poset, plus exact point
+location for the fan axiom.  They are slow but follow the definitions
+literally, so the fast code is checked against them.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from torell import ellinv
 from torell.cech import CoverElement, letter_meet
 from torell.errors import DisconnectedStar, NotGood, TorellError
 from torell.lattice import (
@@ -29,6 +32,41 @@ def closed_and_independent(n, rays, cones):
     independent, checked cone by cone and face by face."""
     return all(face in cones and integer_rank([rays[i] for i in cone], n) == len(cone)
                for cone in cones for k in range(len(cone)) for face in combinations(cone, k))
+
+
+def cone_contains(generators, direction):
+    """Whether a direction is a nonnegative combination of n generators in
+    Q^n, by exact Gauss-Jordan on [generators | direction]; dependent
+    generators contain nothing."""
+    n = len(direction)
+    aug = [[Fraction(g[k]) for g in generators] + [Fraction(direction[k])] for k in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return False
+        aug[col], aug[piv] = aug[piv], aug[col]
+        scale = aug[col][col]
+        aug[col] = [x / scale for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return all(aug[k][n] >= 0 for k in range(n))
+
+
+def overlapping_cones(rays, cones):
+    """Whether two cones of a planar cone set with independent 2-cones fail
+    to meet in a common face, by point location: some ray lies in a 2-cone
+    it does not generate, or the sum of one 2-cone's rays lies in another."""
+    planes = [[rays[i] for i in c] for c in cones if len(c) == 2]
+    inner = [(u[0] + v[0], u[1] + v[1]) for u, v in planes]
+    for generators in planes:
+        if any(ray not in generators and cone_contains(generators, ray) for ray in rays):
+            return True
+        if any(other is not generators and cone_contains(generators, point)
+               for other, point in zip(planes, inner)):
+            return True
+    return False
 
 
 def top_cones(fan):
@@ -105,6 +143,42 @@ def fan_isomorphic(f, g):
                 if mapped == set(g.cones):
                     return m
     return None
+
+
+# --- surface comparison with one saturation per ray -------------------------
+
+def ray_line_classes(fan):
+    """The lines of the rays, each saturated from its ray."""
+    return sorted((saturate([r], fan.ambient_rank) for r in fan.rays),
+                  key=lambda s: s.sort_key())
+
+
+def ray_bijection(fa, fb):
+    """Pair up rays of two surfaces line class by line class."""
+    def grouped(fan):
+        groups = {}
+        for ray in fan.rays:
+            groups.setdefault(saturate([ray], fan.ambient_rank), []).append(ray)
+        return groups
+    ga, gb = grouped(fa), grouped(fb)
+    pairs = []
+    for cls in sorted(ga, key=lambda s: s.sort_key()):
+        for ra, rb in zip(sorted(ga[cls]), sorted(gb[cls])):
+            pairs.append((ra, rb))
+    return tuple(pairs)
+
+
+def compare(a, b, fans):
+    """ellinv.compare with the fans' lines compared class list to class
+    list and the witness paired from a second grouping."""
+    verdict = ellinv.compare(a, b)
+    fa, fb = fans
+    if (verdict.outcome == ellinv.UNKNOWN and fa.ambient_rank == 2
+            and ray_line_classes(fa) == ray_line_classes(fb)):
+        return ellinv.Verdict(ellinv.ISOMORPHIC,
+                              ellinv.Witness("surface-ray-line-bijection", ray_bijection(fa, fb)),
+                              ellinv.RULE_SURFACE)
+    return verdict
 
 
 # --- the Čech poset as the closure of the cover under meets ------------------

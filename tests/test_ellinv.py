@@ -15,7 +15,14 @@ from torell.ellinv import (
     incidence_matrix,
     mv_ladder,
 )
-from torell.errors import NotProper, NotSingleFlip, NotSurface, RankMismatch
+from torell.errors import (
+    FansMismatch,
+    NotProper,
+    NotSingleFlip,
+    NotSurface,
+    RankMismatch,
+    TorellError,
+)
 from torell.fan import fan_isomorphic, walls
 from torell.lattice import IntMatrix, determinant
 
@@ -129,6 +136,13 @@ class TestCompare:
     def test_ambient_rank_mismatch_raises(self, corpus_fans, p1):
         with pytest.raises(RankMismatch):
             compare(ell_shadow(p1), ell_shadow(corpus_fans["p2"]))
+
+    def test_fans_that_do_not_match_the_shadows_raise(self, corpus_fans, p2):
+        with pytest.raises(FansMismatch) as raised:
+            compare(ell_shadow(p2), ell_shadow(p2), fans=(corpus_fans["p1xp1"], p2))
+        assert isinstance(raised.value, TorellError)
+        with pytest.raises(FansMismatch):
+            compare(ell_shadow(p2), ell_shadow(p2), fans=(p2, corpus_fans["hirzebruch1"]))
 
     def test_symmetric_outcomes(self, corpus_fans):
         fans = list(corpus_fans.values())

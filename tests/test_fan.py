@@ -1,39 +1,24 @@
 """Fans: validation flags, walls, charts, isomorphism search."""
 
 import random
-from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from torell.errors import MalformedFan, NotGood, NotTopCone
 from torell.fan import Fan, chart, fan_isomorphic, validate, walls
 from torell.lattice import IntMatrix, saturate
 
-from conftest import shuffled_fan
+from conftest import blowup_surfaces, random_fan_data, shuffled_fan
 
 
 def covers_direction(fan, direction):
     """Exact membership of a direction in some top cone (rational solve)."""
-    n = fan.ambient_rank
-    for cone in fan.top_cones():
-        cols = [[Fraction(fan.rays[i][k]) for i in cone] for k in range(n)]
-        aug = [cols[k] + [Fraction(direction[k])] for k in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                break
-            aug[col], aug[piv] = aug[piv], aug[col]
-            scale = aug[col][col]
-            aug[col] = [x / scale for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        else:
-            if all(aug[k][n] >= 0 for k in range(n)):
-                return True
-    return False
+    return any(oracles.cone_contains([fan.rays[i] for i in cone], direction)
+               for cone in fan.top_cones())
 
 
 class TestValidate:
@@ -72,6 +57,41 @@ class TestValidate:
             Fan.from_cones(2, [(1, 0), (-1, 0)], [(0, 1)])     # dependent rays
         with pytest.raises(MalformedFan):
             Fan.from_cones(2, [(1, 0), (0, 1)], [(0, 2)])      # bad index
+
+
+class TestPlaneFanAxiom:
+    def test_ray_inside_a_cone_refused(self):
+        with pytest.raises(MalformedFan, match=r"ray \(1, 1\) lies inside cone \(0, 1\)"):
+            Fan.from_cones(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)])
+
+    def test_cone_across_the_first_ray_refused(self):
+        # The cone of (0,-1) and (1,1) holds (1,0), the first ray of the
+        # angular order, so the check must read that order cyclically.
+        with pytest.raises(MalformedFan, match=r"ray \(1, 0\) lies inside cone \(1, 2\)"):
+            Fan.from_cones(2, [(1, 0), (0, -1), (1, 1)], [(0,), (1, 2)])
+
+    def test_corpus_and_surfaces_accepted(self, corpus_fans):
+        assert not validate(Fan(2, (), frozenset({()}))).good      # no rays at all
+        fans = [f for f in corpus_fans.values() if f.ambient_rank == 2] + blowup_surfaces()
+        for fan in fans:
+            assert not oracles.overlapping_cones(fan.rays, fan.cones)
+            assert Fan(2, fan.rays, fan.cones) == fan
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_fan_data(ranks=st.just(2)))
+    def test_acceptance_is_the_point_location_verdict(self, data):
+        n, rays, generators = data
+        cones = {face for c in generators for k in range(len(c) + 1)
+                 for face in combinations(sorted(c), k)}
+        if not oracles.closed_and_independent(n, rays, cones):
+            with pytest.raises(MalformedFan):
+                Fan.from_cones(n, rays, generators)
+            return
+        if oracles.overlapping_cones(rays, cones):
+            with pytest.raises(MalformedFan, match="lies inside cone"):
+                Fan.from_cones(n, rays, generators)
+        else:
+            Fan.from_cones(n, rays, generators)
 
 
 class TestWalls:

@@ -1,8 +1,12 @@
 """Moment graphs and the partial skeleton."""
 
+import random
+
 from torell.fan import Fan, fan_isomorphic
 from torell.gkm import moment_graph, partial_skeleton, to_dot
 from torell.lattice import IntMatrix, kernel_basis, saturate
+
+from conftest import blowup_surfaces, shuffled_fan, three_delta_cone_fans
 
 
 class TestMomentGraph:
@@ -25,6 +29,17 @@ class TestMomentGraph:
         assert len(g.vertices) == 1
         assert len(g.edges) == 2
         assert all(not e.compact and len(e.endpoints) == 1 for e in g.edges)
+
+    def test_edges_join_the_top_cones_on_their_wall(self, corpus_fans):
+        # Against a scan: an edge's endpoints are the ids, ascending, of
+        # the top cones holding its wall.
+        rng = random.Random(41)
+        fans = list(corpus_fans.values()) + blowup_surfaces() + three_delta_cone_fans()[::8]
+        for fan in fans + [shuffled_fan(f, rng) for f in fans]:
+            g = moment_graph(fan)
+            for wall, e in zip(fan.cones_of_dim(fan.ambient_rank - 1), g.edges):
+                assert e.endpoints == tuple(i for i, top in enumerate(g.vertices)
+                                            if set(wall) <= set(top))
 
     def test_edge_count_on_proper_fans(self, corpus_fans):
         for name, fan in corpus_fans.items():

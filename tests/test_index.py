@@ -8,11 +8,48 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from torell.errors import MalformedFan, NotGood
+from torell.ellinv import compare, ell_shadow, ray_line_classes
+from torell.errors import MalformedFan, NotGood, RankMismatch
 from torell.fan import Fan, fan_isomorphic, walls
 from torell.lattice import IntMatrix, primitive_normal, saturate, span_class
 
 from conftest import blowup_surfaces, random_fans, shuffled_fan, three_delta_cone_fans
+
+
+def random_unimodular(rng, n):
+    """A random matrix in GL_n(Z): elementary row operations and a sign."""
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            k = rng.choice((-2, -1, 1, 2))
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    sign = rng.choice((-1, 1))
+    rows[0] = [sign * x for x in rows[0]]
+    return IntMatrix.from_rows(rows)
+
+
+def image_fan(fan, m, rng):
+    """The image of a fan under a lattice automorphism, relabelled."""
+    moved = Fan.from_cones(fan.ambient_rank, [m.apply(r) for r in fan.rays],
+                           fan.maximal_cones())
+    return shuffled_fan(moved, rng)
+
+
+def relabelled_mid_list(fan, rng):
+    """A relabelled copy in which the first top cone of fan becomes a top
+    cone in the second half of the copy's sorted top cones."""
+    tops = fan.top_cones()
+    while True:
+        perm = list(range(len(fan.rays)))
+        rng.shuffle(perm)
+        relabel = lambda cone: tuple(sorted(perm[i] for i in cone))
+        if sorted(map(relabel, tops)).index(relabel(tops[0])) >= len(tops) // 2:
+            break
+    rays = [None] * len(fan.rays)
+    for old, new in enumerate(perm):
+        rays[new] = fan.rays[old]
+    return Fan.from_cones(fan.ambient_rank, rays, [relabel(c) for c in fan.maximal_cones()])
 
 
 def assert_agrees(fan):
@@ -104,7 +141,9 @@ class TestValidationAgainstFaceScan:
             accepted = True
         except MalformedFan:
             accepted = False
-        assert accepted == oracles.closed_and_independent(n, rays, cones)
+        # In the plane the cones must also meet in common faces.
+        assert accepted == (oracles.closed_and_independent(n, rays, cones)
+                            and not (n == 2 and oracles.overlapping_cones(rays, cones)))
 
 
 class TestFanIsomorphicAgainstScan:
@@ -119,6 +158,63 @@ class TestFanIsomorphicAgainstScan:
                     2, [twist.apply(r) for r in fan.rays], fan.maximal_cones()), rng))
             for other in images + fans[:4]:
                 assert fan_isomorphic(fan, other) == oracles.fan_isomorphic(fan, other)
+
+
+    def test_match_in_the_middle_of_the_search(self):
+        rng = random.Random(23)
+        for fan in blowup_surfaces():
+            copy = relabelled_mid_list(fan, rng)
+            found = fan_isomorphic(fan, copy)
+            assert found is not None
+            assert found == oracles.fan_isomorphic(fan, copy)
+
+    def test_random_lattice_automorphism_images(self, corpus_fans):
+        rng = random.Random(29)
+        fans = ([f for f in corpus_fans.values() if f.is_good()] + blowup_surfaces()
+                + three_delta_cone_fans()[::8])
+        for fan in fans:
+            for _ in range(2):
+                image = image_fan(fan, random_unimodular(rng, fan.ambient_rank), rng)
+                found = fan_isomorphic(fan, image)
+                assert found is not None
+                assert found == oracles.fan_isomorphic(fan, image)
+
+    def test_fans_of_one_size_that_differ(self):
+        fans = blowup_surfaces() + three_delta_cone_fans()[:20]
+        for f in fans:
+            for g in fans:
+                if f is not g and (len(f.rays), len(f.cones)) == (len(g.rays), len(g.cones)):
+                    assert fan_isomorphic(f, g) == oracles.fan_isomorphic(f, g)
+
+
+class TestCompareAgainstSaturation:
+    def assert_agrees(self, fa, fb):
+        sa, sb = ell_shadow(fa), ell_shadow(fb)
+        assert compare(sa, sb, fans=(fa, fb)) == oracles.compare(sa, sb, (fa, fb))
+
+    def test_corpus_pairs(self, corpus_fans):
+        pairs = 0
+        for fa in corpus_fans.values():
+            assert ray_line_classes(fa) == oracles.ray_line_classes(fa)
+            for fb in corpus_fans.values():
+                pairs += 1
+                if fa.ambient_rank != fb.ambient_rank:
+                    with pytest.raises(RankMismatch):
+                        compare(ell_shadow(fa), ell_shadow(fb), fans=(fa, fb))
+                    continue
+                self.assert_agrees(fa, fb)
+        assert pairs == 121
+
+    def test_surfaces_and_relabelled_copies(self):
+        rng = random.Random(31)
+        fans = blowup_surfaces()
+        for fa in fans:
+            copy = shuffled_fan(fa, rng)
+            assert ray_line_classes(fa) == oracles.ray_line_classes(fa)
+            self.assert_agrees(fa, copy)
+            self.assert_agrees(copy, fa)
+            for fb in fans:
+                self.assert_agrees(fa, fb)
 
 
 class TestClosedForms:
@@ -140,6 +236,18 @@ class TestClosedForms:
         s = saturate(vectors)
         assume(s.corank == 1)
         assert primitive_normal(s) == oracles.primitive_normal(s)
+
+    def test_primitive_normal_of_basis_rows(self):
+        # Any n - 1 rows of a matrix in GL_n(Z) span a saturated corank-1
+        # lattice, as the rays of a wall do.
+        rng = random.Random(37)
+        for n in (2, 3, 4):
+            for _ in range(100):
+                rows = list(random_unimodular(rng, n).entries)
+                del rows[rng.randrange(n)]
+                s = span_class(rows, n)
+                assert s.corank == 1
+                assert primitive_normal(s) == oracles.primitive_normal(s)
 
     def test_primitive_normal_of_the_origin_in_a_line(self):
         s = saturate([], ambient_rank=1)
