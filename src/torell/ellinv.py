@@ -9,9 +9,8 @@ by an explicit row-transformation matrix between incidence matrices.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Optional
 
 from .errors import (
@@ -48,7 +47,12 @@ RULE_NECESSARY_ONLY = "necessary-conditions-only"
 
 @dataclass(frozen=True)
 class EllShadow:
-    """Rank, interior wall-span multiset and determinant divisor."""
+    """Rank, interior wall-span multiset and determinant divisor.
+
+    wall_spans is sorted by ``SublatticeClass.sort_key``, which is injective
+    on classes, so two shadows have equal span multisets exactly when their
+    tuples are equal.
+    """
 
     ambient_rank: int
     rank: int
@@ -62,15 +66,14 @@ class EllShadow:
 def ell_shadow(fan: Fan) -> EllShadow:
     if not fan.is_good():
         raise NotGood("the shadow invariant is defined for good fans")
-    spans = sorted((w.span for w in walls(fan) if w.interior),
-                   key=lambda s: s.sort_key())
-    counts = Counter(spans)
-    divisor = tuple(sorted(((-mult, cls) for cls, mult in counts.items()),
-                           key=lambda t: t[1].sort_key()))
+    spans = tuple(sorted((w.span for w in walls(fan) if w.interior),
+                         key=lambda s: s.sort_key()))
+    # Equal classes are adjacent in the sorted spans.
+    divisor = tuple((-sum(1 for _ in run), cls) for cls, run in groupby(spans))
     return EllShadow(
         ambient_rank=fan.ambient_rank,
         rank=len(fan.top_cones()),
-        wall_spans=tuple(spans),
+        wall_spans=spans,
         det_divisor=divisor,
     )
 
@@ -156,7 +159,9 @@ def compare(a: EllShadow, b: EllShadow,
             fans: Optional[tuple[Fan, Fan]] = None) -> Verdict:
     """Decide (non-)isomorphism of two shadow invariants.
 
-    Differing rank or wall-span multisets rule isomorphism out.  When the
+    Differing rank or wall-span multisets rule isomorphism out; the spans
+    are sorted tuples, so the multisets are compared as tuples and their
+    differences, the witness, come from one merge.  When the
     two underlying fans are supplied and are good surfaces, a bijection of
     all rays (not only interior walls) matching spanned lines certifies an
     isomorphism.  Otherwise the honest answer is UNKNOWN: above dimension
@@ -169,12 +174,10 @@ def compare(a: EllShadow, b: EllShadow,
         return Verdict(NOT_ISOMORPHIC,
                        Witness("rank-mismatch", (a.rank, b.rank)),
                        RULE_RANK)
-    ca, cb = Counter(a.wall_spans), Counter(b.wall_spans)
-    if ca != cb:
-        only_a = tuple(sorted((ca - cb).elements(), key=lambda s: s.sort_key()))
-        only_b = tuple(sorted((cb - ca).elements(), key=lambda s: s.sort_key()))
+    if a.wall_spans != b.wall_spans:
         return Verdict(NOT_ISOMORPHIC,
-                       Witness("wall-span-mismatch", (only_a, only_b)),
+                       Witness("wall-span-mismatch",
+                               _sorted_differences(a.wall_spans, b.wall_spans)),
                        RULE_SPANS)
     if fans is not None:
         fa, fb = fans
@@ -191,6 +194,25 @@ def compare(a: EllShadow, b: EllShadow,
                                Witness("surface-ray-line-bijection", pairing),
                                RULE_SURFACE)
     return Verdict(UNKNOWN, None, RULE_NECESSARY_ONLY)
+
+
+def _sorted_differences(a, b):
+    """The multiset differences a - b and b - a of two tuples of classes
+    sorted by ``sort_key``, each sorted, by one merge."""
+    only_a, only_b = [], []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        ka, kb = a[i].sort_key(), b[j].sort_key()
+        if ka == kb:
+            i += 1
+            j += 1
+        elif ka < kb:
+            only_a.append(a[i])
+            i += 1
+        else:
+            only_b.append(b[j])
+            j += 1
+    return tuple(only_a) + a[i:], tuple(only_b) + b[j:]
 
 
 @dataclass(frozen=True)
@@ -222,17 +244,19 @@ def incidence_matrix(fan: Fan, start_ray: int) -> SurfaceIncidence:
     if not 0 <= start_ray < len(fan.rays):
         raise NotSurface(f"no ray with index {start_ray}")
     tops = fan.top_cones()
+    row = {cone: i for i, cone in enumerate(tops)}
+    upper = fan._incidence.upper
     # Clockwise from the start ray: the counter-clockwise order reversed.
     ccw = ccw_order(fan.rays, fan.rays[start_ray])
     order = ccw[:1] + ccw[:0:-1]
     m = len(tops)
     entries = [[0] * m for _ in range(m)]
     for col, ray in enumerate(order):
-        containing = [i for i, cone in enumerate(tops) if ray in cone]
-        if len(containing) != 2:
-            raise NotProper(f"ray {fan.rays[ray]} lies on {len(containing)} top cones, not 2")
-        entries[containing[0]][col] = 1
-        entries[containing[1]][col] = -1
+        # In a proper surface a ray is a wall on two top cones, listed in
+        # sorted order, so their row ids ascend.
+        first, second = upper[(ray,)]
+        entries[row[first]][col] = 1
+        entries[row[second]][col] = -1
     return SurfaceIncidence(
         m=m,
         matrix=IntMatrix.from_rows(entries),

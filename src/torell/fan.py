@@ -4,12 +4,24 @@ A fan is stored as primitive ray generators plus the set of all its cones,
 each cone a sorted tuple of ray indices (the zero cone is the empty tuple).
 Fans are simplicial by construction and immutable after validation; all
 queries are pure functions.
+
+What a ``Fan`` derives once, on first use, and keeps for its lifetime:
+
+* its top cones and wall incidence (each wall's top cones), with
+  smoothness, goodness and properness;
+* its walls, each with its span and, on first use, its primitive normal;
+* the isomorphism walk: a first chart, its inverse, and the other top
+  cones in breadth-first order across walls with the chart coordinates
+  of the rays they add.
+
+Results (shadows, moment graphs, verdicts, isomorphism matrices) are
+never cached: each call computes its result afresh from this structure.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
@@ -24,6 +36,7 @@ from .lattice import (
     inverse_unimodular,
     is_primitive,
     is_unimodular_basis,
+    primitive_normal,
     span_class,
 )
 
@@ -108,6 +121,7 @@ class Fan:
         # and n rays are independent when their determinant is nonzero.
         facets = _facets(self.cones)
         used = set()
+        positive = {}                   # top cone -> sign of its determinant
         for cone in self.cones:
             if _normalize_cone(cone, len(self.rays)) != cone:
                 raise MalformedFan(f"cone {cone} is not a sorted index tuple")
@@ -121,14 +135,20 @@ class Fan:
             if cone in facets:
                 continue
             rows = [self.rays[i] for i in cone]
-            independent = (determinant(IntMatrix(tuple(rows))) != 0 if len(cone) == n
-                           else integer_rank(rows, n) == len(cone))
+            if len(cone) == n:
+                det = determinant(IntMatrix(tuple(rows)))
+                positive[cone] = det > 0
+                independent = det != 0
+            else:
+                independent = integer_rank(rows, n) == len(cone)
             if not independent:
                 raise MalformedFan(f"rays of cone {cone} are linearly dependent")
         if used != set(range(len(self.rays))):
             raise MalformedFan("some listed ray appears in no cone")
         if n == 2:
             self._check_plane_cones()
+        elif n >= 3:
+            self._check_walls(positive)
 
     def _check_plane_cones(self):
         """Refuse a 2-cone with a ray of the fan strictly inside it.
@@ -150,6 +170,30 @@ class Fan:
             if after[first] != second:
                 raise MalformedFan(
                     f"ray {self.rays[after[first]]} lies inside cone {cone}")
+
+    def _check_walls(self, positive: dict[Cone, bool]):
+        """Refuse two top cones on one wall that lie on the same side of it.
+
+        Two top cones on a common wall meet in that wall only when their
+        rays off it lie strictly on opposite sides of its hyperplane, that
+        is, when appending each to the wall's rays, in one order, gives
+        determinants of opposite sign.  This is the local part of the fan
+        axiom: cones that share no wall are not compared.
+
+        Those determinants need no new elimination: moving the ray off the
+        wall from place k of a top cone's sorted rays to the end takes
+        n - 1 - k transpositions, so each sign is the top cone's own sign,
+        given in ``positive``, flipped when n - 1 - k is odd.
+        """
+        n = self.ambient_rank
+        for wall, upper in self._incidence.upper.items():
+            if len(upper) != 2:
+                continue
+            sides = [positive[top] != ((n - 1 - k) % 2 == 1)
+                     for top in upper for k, i in enumerate(top) if i not in wall]
+            if sides[0] == sides[1]:
+                raise MalformedFan(f"cones {upper[0]} and {upper[1]} lie on the same "
+                                   f"side of their common wall {wall}")
 
     @classmethod
     def from_cones(cls, ambient_rank: int, rays: Iterable[Sequence[int]],
@@ -184,6 +228,33 @@ class Fan:
         good = smooth and all(len(c) == n or c in facets for c in self.cones)
         proper = bool(tops) and all(len(u) == 2 for u in upper.values())
         return _Incidence(tops, upper, smooth, good, proper)
+
+    @cached_property
+    def _walls(self) -> tuple[Wall, ...]:
+        # Kept apart from _incidence so that validation does no span work.
+        # An exception is not cached, so a wall on three top cones raises
+        # on every access.
+        out = []
+        for cone, upper in self._incidence.upper.items():
+            if len(upper) > 2:
+                raise MalformedFan(f"wall {cone} lies on {len(upper)} top cones")
+            # The rays of a cone of a smooth fan extend to a lattice basis, so
+            # they span a saturated sublattice: their Hermite form is its class.
+            span = span_class([self.rays[i] for i in cone], self.ambient_rank)
+            out.append(Wall(cone=cone, upper=upper, span=span))
+        return tuple(out)
+
+    @cached_property
+    def _isomorphism_walk(self):
+        """The first top cone sigma0, the inverse of its ray matrix, and
+        every other top cone with the sigma0 chart coordinates of the rays
+        it adds, in the order a walk across walls from sigma0 meets them.
+        Defined for good fans."""
+        sigma0 = self.top_cones()[0]
+        vinv = inverse_unimodular(self.ray_matrix(sigma0))
+        steps = tuple((top, tuple((i, vinv.apply(self.rays[i])) for i in new))
+                      for top, new in _tops_by_wall_distance(self, sigma0)[1:])
+        return sigma0, vinv, steps
 
     def cones_of_dim(self, d: int) -> tuple[Cone, ...]:
         return tuple(sorted(c for c in self.cones if len(c) == d))
@@ -222,17 +293,29 @@ class FanReport:
     proper: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Wall:
     """An (n-1)-dimensional cone with its neighbouring top cones."""
 
     cone: Cone
     upper: tuple[Cone, ...]
     span: SublatticeClass
+    # A slot rather than a cached_property: on a fresh fan the first read of
+    # every wall's normal costs a third as much, and a Wall has no __dict__.
+    _normal: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False,
+                                               compare=False)
 
     @property
     def interior(self) -> bool:
         return len(self.upper) == 2
+
+    @property
+    def normal(self) -> tuple[int, ...]:
+        """The primitive covector cutting out the span, sign-normalised;
+        derived on first use and kept."""
+        if self._normal is None:
+            object.__setattr__(self, "_normal", primitive_normal(self.span))
+        return self._normal
 
 
 @dataclass(frozen=True)
@@ -255,18 +338,11 @@ def validate(fan: Fan) -> FanReport:
 
 
 def walls(fan: Fan) -> tuple[Wall, ...]:
-    """All (n-1)-dimensional cones with their containing top cones and spans."""
+    """All (n-1)-dimensional cones with their containing top cones and
+    spans, derived once per fan."""
     if not fan.is_good():
         raise NotGood("walls are only enumerated for good fans")
-    out = []
-    for cone, upper in fan._incidence.upper.items():
-        if len(upper) > 2:
-            raise MalformedFan(f"wall {cone} lies on {len(upper)} top cones")
-        # The rays of a cone of a smooth fan extend to a lattice basis, so
-        # they span a saturated sublattice: their Hermite form is its class.
-        span = span_class([fan.rays[i] for i in cone], fan.ambient_rank)
-        out.append(Wall(cone=cone, upper=upper, span=span))
-    return tuple(out)
+    return fan._walls
 
 
 def chart(fan: Fan, top_cone: Sequence[int]) -> ChartBasis:
@@ -296,13 +372,8 @@ def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
         return None
     if len(f.top_cones()) != len(g.top_cones()):
         return None
-    sigma0 = f.top_cones()[0]
-    vinv = inverse_unimodular(f.ray_matrix(sigma0))
-    # The other top cones of f, each with the chart coordinates of sigma0
-    # of the rays it adds, in the order a walk across walls from sigma0
-    # meets them: a wrong candidate fails on a neighbour of sigma0.
-    steps = [(top, [(i, vinv.apply(f.rays[i])) for i in new])
-             for top, new in _tops_by_wall_distance(f, sigma0)[1:]]
+    # A wrong candidate fails on a neighbour of sigma0, the first step.
+    sigma0, vinv, steps = f._isomorphism_walk
     ray_index = {ray: i for i, ray in enumerate(g.rays)}
     g_tops = set(g.top_cones())
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import NotGood
 from .fan import Cone, Fan, walls
-from .lattice import SublatticeClass, primitive_normal
+from .lattice import SublatticeClass
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def moment_graph(fan: Fan) -> MomentGraph:
         edges.append(GraphEdge(
             # A wall's top cones come in sorted order, so their ids ascend.
             endpoints=tuple(index[c] for c in wall.upper),
-            label=primitive_normal(wall.span),
+            label=wall.normal,
             isotropy=wall.span,
             compact=wall.interior,
         ))

@@ -384,7 +384,11 @@ def primitive_normal(s: SublatticeClass) -> Vector:
     g = gcd(*minors)
     if g == 0:
         raise WrongCorank(f"basis {s.basis} has dependent rows")
-    return sign_normalized(tuple(x // g for x in minors))
+    # Dividing by the gcd signed like the first nonzero minor also
+    # normalizes the sign.
+    if next(x for x in minors if x) < 0:
+        g = -g
+    return tuple(x // g for x in minors)
 
 
 def is_unimodular_basis(vectors: Sequence[Sequence[int]]) -> bool:

@@ -1,20 +1,24 @@
-"""Direct definitions of fan incidence, saturation, the Čech poset and
-surface comparison, kept as test oracles.
+"""Direct definitions of fan incidence, saturation, walls, shadows, the
+Čech poset and surface comparison, kept as test oracles.
 
 These are the subset scans, double-kernel saturation, meet-closure
 fixpoint and per-ray saturation the library used before it derived one
 incidence index per fan, closed forms for single vectors, normals and ray
-lines, and the closed-form list of the Čech poset, plus exact point
-location for the fan axiom.  They are slow but follow the definitions
+lines, and the closed-form list of the Čech poset; the per-call wall
+builder and the hashed multiset counts the library used before each fan
+derived its walls once; plus exact point location and rational
+determinants for the fan axiom.  They are slow but follow the definitions
 literally, so the fast code is checked against them.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from torell import ellinv
 from torell.cech import CoverElement, letter_meet
-from torell.errors import DisconnectedStar, NotGood, TorellError
+from torell.errors import DisconnectedStar, MalformedFan, NotGood, TorellError
+from torell.fan import Wall
 from torell.lattice import (
     IntMatrix,
     SublatticeClass,
@@ -24,6 +28,7 @@ from torell.lattice import (
     is_unimodular_basis,
     kernel_basis,
     sign_normalized,
+    span_class,
 )
 
 
@@ -65,6 +70,41 @@ def overlapping_cones(rays, cones):
             return True
         if any(other is not generators and cone_contains(generators, point)
                for other, point in zip(planes, inner)):
+            return True
+    return False
+
+
+def rational_determinant(rows):
+    """Determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(a)):
+        piv = next((r for r in range(col, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, len(a)):
+            factor = a[r][col] / a[col][col]
+            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def one_sided_wall(n, rays, cones):
+    """Whether some two n-cones, the only two on a common (n-1)-cone, have
+    their rays off it on the same side of its hyperplane, by scanning every
+    pair of n-cones."""
+    tops = [set(c) for c in cones if len(c) == n]
+    for t1, t2 in combinations(tops, 2):
+        wall = sorted(t1 & t2)
+        if len(wall) != n - 1 or sum(1 for t in tops if set(wall) <= t) != 2:
+            continue
+        rows = [rays[i] for i in wall]
+        (i,), (j,) = t1 - set(wall), t2 - set(wall)
+        if ((rational_determinant(rows + [rays[i]]) > 0)
+                == (rational_determinant(rows + [rays[j]]) > 0)):
             return True
     return False
 
@@ -118,6 +158,53 @@ def primitive_normal(s):
     return sign_normalized(kern)
 
 
+def walls(fan):
+    """Every wall with its top cones and span, built afresh on each call."""
+    if not fan.is_good():
+        raise NotGood("walls are only enumerated for good fans")
+    out = []
+    for cone in fan.cones_of_dim(fan.ambient_rank - 1):
+        upper = wall_upper(fan, cone)
+        if len(upper) > 2:
+            raise MalformedFan(f"wall {cone} lies on {len(upper)} top cones")
+        out.append(Wall(cone=cone, upper=upper,
+                        span=span_class([fan.rays[i] for i in cone], fan.ambient_rank)))
+    return tuple(out)
+
+
+def ell_shadow(fan):
+    """The shadow with its divisor counted in a hash table and sorted again."""
+    spans = sorted((w.span for w in walls(fan) if w.interior), key=lambda s: s.sort_key())
+    divisor = tuple(sorted(((-mult, cls) for cls, mult in Counter(spans).items()),
+                           key=lambda t: t[1].sort_key()))
+    return ellinv.EllShadow(ambient_rank=fan.ambient_rank, rank=len(top_cones(fan)),
+                            wall_spans=tuple(spans), det_divisor=divisor)
+
+
+def span_witness(a, b):
+    """The wall-span verdict on two shadows, by counting spans in hash
+    tables; None when the span multisets agree."""
+    ca, cb = Counter(a.wall_spans), Counter(b.wall_spans)
+    if ca == cb:
+        return None
+    only_a = tuple(sorted((ca - cb).elements(), key=lambda s: s.sort_key()))
+    only_b = tuple(sorted((cb - ca).elements(), key=lambda s: s.sort_key()))
+    return ellinv.Verdict(ellinv.NOT_ISOMORPHIC,
+                          ellinv.Witness("wall-span-mismatch", (only_a, only_b)),
+                          ellinv.RULE_SPANS)
+
+
+def incidence_entries(fan, order):
+    """Signed incidence rows of a surface, each ray's top cones found by
+    scanning all of them."""
+    tops = top_cones(fan)
+    entries = [[0] * len(tops) for _ in tops]
+    for col, ray in enumerate(order):
+        first, second = [i for i, cone in enumerate(tops) if ray in cone]
+        entries[first][col], entries[second][col] = 1, -1
+    return entries
+
+
 def fan_isomorphic(f, g):
     """Every ordered ray tuple of every top cone of g, tried as the image
     of the first chart of f, composing the full matrix each time."""
@@ -169,16 +256,20 @@ def ray_bijection(fa, fb):
 
 
 def compare(a, b, fans):
-    """ellinv.compare with the fans' lines compared class list to class
-    list and the witness paired from a second grouping."""
-    verdict = ellinv.compare(a, b)
+    """ellinv.compare with the span multisets counted in hash tables, the
+    fans' lines compared class list to class list and the witness paired
+    from a second grouping."""
+    if a.ambient_rank != b.ambient_rank or a.rank != b.rank:
+        return ellinv.compare(a, b)
+    verdict = span_witness(a, b)
+    if verdict is not None:
+        return verdict
     fa, fb = fans
-    if (verdict.outcome == ellinv.UNKNOWN and fa.ambient_rank == 2
-            and ray_line_classes(fa) == ray_line_classes(fb)):
+    if fa.ambient_rank == 2 and ray_line_classes(fa) == ray_line_classes(fb):
         return ellinv.Verdict(ellinv.ISOMORPHIC,
                               ellinv.Witness("surface-ray-line-bijection", ray_bijection(fa, fb)),
                               ellinv.RULE_SURFACE)
-    return verdict
+    return ellinv.Verdict(ellinv.UNKNOWN, None, ellinv.RULE_NECESSARY_ONLY)
 
 
 # --- the Čech poset as the closure of the cover under meets ------------------

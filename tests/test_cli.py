@@ -164,6 +164,14 @@ def assert_input_error(proc, *needles):
         assert needle in line
 
 
+def test_rank_three_cone_inside_another_exits_two(tmp_path):
+    path = tmp_path / "overlap.fan.json"
+    path.write_text(json.dumps({"schema_version": "1", "ambient_rank": 3,
+                                "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+                                "cones": [[0, 1, 2], [0, 1, 3]]}))
+    assert_input_error(run_cli("invariant", str(path)), str(path), "(0, 1, 3)", "wall (0, 1)")
+
+
 def test_directory_operand_exits_two(tmp_path):
     assert_input_error(run_cli("validate", str(tmp_path)), str(tmp_path))
 

@@ -11,6 +11,7 @@ import oracles
 from torell.errors import MalformedFan, NotGood, NotTopCone
 from torell.fan import Fan, chart, fan_isomorphic, validate, walls
 from torell.lattice import IntMatrix, saturate
+from torell.triang import apply_flip, cone_fan, flips, quotient_simplex, unimodular_triangulations
 
 from conftest import blowup_surfaces, random_fan_data, shuffled_fan
 
@@ -89,6 +90,45 @@ class TestPlaneFanAxiom:
             return
         if oracles.overlapping_cones(rays, cones):
             with pytest.raises(MalformedFan, match="lies inside cone"):
+                Fan.from_cones(n, rays, generators)
+        else:
+            Fan.from_cones(n, rays, generators)
+
+
+class TestWallAxiom:
+    def test_cone_inside_another_refused(self):
+        with pytest.raises(MalformedFan, match=r"cones \(0, 1, 2\) and \(0, 1, 3\) lie "
+                                               r"on the same side of their common wall \(0, 1\)"):
+            Fan.from_cones(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [(0, 1, 2), (0, 1, 3)])
+
+    def test_quotient_cone_fans_accepted(self):
+        # Every triangulation, and every flip of one, of the seven quotient
+        # triangles of the flops benchmark workload gives a cone fan.
+        groups = ([("1/2", "1/2", "0"), ("1/2", "0", "1/2")],
+                  [("1/3", "2/3", "0"), ("1/3", "0", "2/3")],
+                  [("1/6", "2/6", "3/6")], [("1/8", "3/8", "4/8")], [("1/9", "2/9", "6/9")],
+                  [("1/10", "4/10", "5/10")], [("1/11", "2/11", "8/11")])
+        flipped = 0
+        for generators in groups:
+            for t in unimodular_triangulations(quotient_simplex(generators)):
+                assert cone_fan(t).is_good()
+                for move in flips(t):
+                    cone_fan(apply_flip(t, move)[0])
+                    flipped += 1
+        assert flipped == 456
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_fan_data(ranks=st.just(3)))
+    def test_acceptance_is_the_rational_determinant_verdict(self, data):
+        n, rays, generators = data
+        cones = {face for c in generators for k in range(len(c) + 1)
+                 for face in combinations(sorted(c), k)}
+        if not oracles.closed_and_independent(n, rays, cones):
+            with pytest.raises(MalformedFan):
+                Fan.from_cones(n, rays, generators)
+            return
+        if oracles.one_sided_wall(n, rays, cones):
+            with pytest.raises(MalformedFan, match="same side of their common wall"):
                 Fan.from_cones(n, rays, generators)
         else:
             Fan.from_cones(n, rays, generators)

@@ -8,7 +8,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from torell.ellinv import compare, ell_shadow, ray_line_classes
+from torell.ellinv import compare, ell_shadow, incidence_matrix, ray_line_classes
 from torell.errors import MalformedFan, NotGood, RankMismatch
 from torell.fan import Fan, fan_isomorphic, walls
 from torell.lattice import IntMatrix, primitive_normal, saturate, span_class
@@ -141,9 +141,11 @@ class TestValidationAgainstFaceScan:
             accepted = True
         except MalformedFan:
             accepted = False
-        # In the plane the cones must also meet in common faces.
+        # In the plane the cones must also meet in common faces; in rank 3
+        # two top cones on one wall must lie on opposite sides of it.
         assert accepted == (oracles.closed_and_independent(n, rays, cones)
-                            and not (n == 2 and oracles.overlapping_cones(rays, cones)))
+                            and not (n == 2 and oracles.overlapping_cones(rays, cones))
+                            and not (n == 3 and oracles.one_sided_wall(n, rays, cones)))
 
 
 class TestFanIsomorphicAgainstScan:
@@ -215,6 +217,105 @@ class TestCompareAgainstSaturation:
             self.assert_agrees(copy, fa)
             for fb in fans:
                 self.assert_agrees(fa, fb)
+
+
+def assert_walls_agree(fan):
+    """The walls a fan derives once equal the walls built afresh, and so
+    do the shadows read from them; a refusal repeats on a second call."""
+    if not fan.is_good():
+        for _ in range(2):
+            with pytest.raises(NotGood):
+                walls(fan)
+        return
+    try:
+        expected = oracles.walls(fan)
+    except MalformedFan:
+        for _ in range(2):
+            with pytest.raises(MalformedFan, match="top cones"):
+                walls(fan)
+        return
+    found = walls(fan)
+    assert found == expected
+    assert found is walls(fan)
+    assert all(w.normal == primitive_normal(w.span) for w in found)
+    assert ell_shadow(fan) == oracles.ell_shadow(fan)
+
+
+def assert_verdicts_agree(fa, fb):
+    """The verdict on two fans equals the one reached from shadows built
+    afresh and span multisets counted in hash tables."""
+    expected = oracles.compare(oracles.ell_shadow(fa), oracles.ell_shadow(fb), (fa, fb))
+    assert compare(ell_shadow(fa), ell_shadow(fb), fans=(fa, fb)) == expected
+
+
+class TestWallsDerivedOnce:
+    def test_corpus_and_its_pairs(self, corpus_fans):
+        pairs = 0
+        for fa in corpus_fans.values():
+            assert_walls_agree(fa)
+            for fb in corpus_fans.values():
+                pairs += 1
+                if fa.ambient_rank == fb.ambient_rank:
+                    assert_verdicts_agree(fa, fb)
+                else:
+                    with pytest.raises(RankMismatch):
+                        compare(ell_shadow(fa), ell_shadow(fb))
+        assert pairs == 121
+
+    def test_surfaces_and_relabelled_copies(self):
+        rng = random.Random(41)
+        fans = blowup_surfaces()
+        copies = [shuffled_fan(f, rng) for f in fans]
+        for fan in fans + copies:
+            assert_walls_agree(fan)
+        for fa, copy in zip(fans, copies):
+            assert_verdicts_agree(fa, copy)
+            assert_verdicts_agree(copy, fa)
+            for fb in fans:
+                assert_verdicts_agree(fa, fb)
+
+    def test_three_delta_cone_fans(self):
+        fans = three_delta_cone_fans()
+        for fan in fans:
+            assert_walls_agree(fan)
+        shadows = [ell_shadow(f) for f in fans]
+        for sa in shadows:
+            for sb in shadows:
+                assert compare(sa, sb) == (oracles.span_witness(sa, sb) or compare(sa, sa))
+
+    def test_refusals_repeat(self):
+        not_good = Fan.from_cones(2, [(1, 0), (1, 2)], [(0, 1)])
+        three_on_a_wall = Fan.from_cones(
+            3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1), (0, 1, 1)],
+            [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+        assert_walls_agree(not_good)
+        assert_walls_agree(three_on_a_wall)
+
+    def test_one_fan_searched_against_several(self, corpus_fans):
+        rng = random.Random(43)
+        fans = [f for f in corpus_fans.values() if f.is_good()] + blowup_surfaces()
+        for f in fans:
+            candidates = [shuffled_fan(f, rng), f,
+                          image_fan(f, random_unimodular(rng, f.ambient_rank), rng)]
+            candidates += [g for g in fans if len(g.rays) == len(f.rays)]
+            for g in candidates:
+                assert fan_isomorphic(f, g) == oracles.fan_isomorphic(f, g)
+            assert f._isomorphism_walk is f._isomorphism_walk
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_fans())
+    def test_random_fans(self, fan):
+        assert_walls_agree(fan)
+
+    def test_incidence_matrix_reads_the_index(self, corpus_fans):
+        fans = [f for f in corpus_fans.values()
+                if f.ambient_rank == 2 and f.is_good() and f.is_proper()] + blowup_surfaces()
+        for fan in fans:
+            for start in range(len(fan.rays)):
+                found = incidence_matrix(fan, start)
+                order = [fan.rays.index(r) for r in found.ray_order]
+                assert [list(r) for r in found.matrix.entries] == \
+                    oracles.incidence_entries(fan, order)
 
 
 class TestClosedForms:
