@@ -173,12 +173,9 @@ def _resolve_triangulation(operand: str):
 
 def _flip_listing(t):
     moves = triang.flips(t)
-    aliases = triang.flip_aliases(t)
-    alias_of = {id(m): [] for m in moves}
-    for name, move in aliases.items():
-        for m in moves:
-            if m == move:
-                alias_of[id(m)].append(name)
+    alias_of = {m: [] for m in moves}
+    for name, move in triang.flip_aliases(t).items():
+        alias_of[move].append(name)
     return moves, alias_of
 
 
@@ -186,7 +183,7 @@ def _cmd_flop(args) -> int:
     t, name, data = _resolve_triangulation(args.triangulation)
     moves, alias_of = _flip_listing(t)
     listing = [{"id": i,
-                "aliases": sorted(alias_of[id(m)]),
+                "aliases": sorted(alias_of[m]),
                 "removed_edge": list(m.removed_edge),
                 "added_edge": list(m.added_edge)}
                for i, m in enumerate(moves)]
@@ -200,7 +197,7 @@ def _cmd_flop(args) -> int:
         return 0
     chosen = None
     for i, m in enumerate(moves):
-        if args.apply == str(i) or args.apply in alias_of[id(m)]:
+        if args.apply == str(i) or args.apply in alias_of[m]:
             chosen = m
             break
     if chosen is None:

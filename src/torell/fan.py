@@ -5,11 +5,13 @@ each cone a sorted tuple of ray indices (the zero cone is the empty tuple).
 Fans are simplicial by construction and immutable after validation; all
 queries are pure functions.
 
-What a ``Fan`` derives once, on first use, and keeps for its lifetime:
+What a ``Fan`` derives once and keeps for its lifetime:
 
-* its top cones and wall incidence (each wall's top cones), with
+* at construction, from the facets and determinants its checks compute:
+  its maximal and top cones, wall incidence (each wall's top cones),
   smoothness, goodness and properness;
-* its walls, each with its span and, on first use, its primitive normal;
+* on first use, its walls, each with its span and, when first read, its
+  primitive normal;
 * the isomorphism walk: a first chart, its inverse, and the other top
   cones in breadth-first order across walls with the chart coordinates
   of the rays they add.
@@ -35,7 +37,6 @@ from .lattice import (
     integer_rank,
     inverse_unimodular,
     is_primitive,
-    is_unimodular_basis,
     primitive_normal,
     span_class,
 )
@@ -84,6 +85,7 @@ class _Incidence:
     in sorted order on both levels.
     """
 
+    maximal: tuple[Cone, ...]
     tops: tuple[Cone, ...]
     upper: dict[Cone, tuple[Cone, ...]]
     smooth: bool
@@ -98,6 +100,7 @@ class Fan:
     ambient_rank: int
     rays: tuple[tuple[int, ...], ...]
     cones: frozenset[Cone]
+    _incidence: _Incidence = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.ambient_rank
@@ -121,7 +124,7 @@ class Fan:
         # and n rays are independent when their determinant is nonzero.
         facets = _facets(self.cones)
         used = set()
-        positive = {}                   # top cone -> sign of its determinant
+        dets = {}                       # top cone -> its determinant
         for cone in self.cones:
             if _normalize_cone(cone, len(self.rays)) != cone:
                 raise MalformedFan(f"cone {cone} is not a sorted index tuple")
@@ -136,19 +139,19 @@ class Fan:
                 continue
             rows = [self.rays[i] for i in cone]
             if len(cone) == n:
-                det = determinant(IntMatrix(tuple(rows)))
-                positive[cone] = det > 0
-                independent = det != 0
+                dets[cone] = determinant(IntMatrix(tuple(rows)))
+                independent = dets[cone] != 0
             else:
                 independent = integer_rank(rows, n) == len(cone)
             if not independent:
                 raise MalformedFan(f"rays of cone {cone} are linearly dependent")
         if used != set(range(len(self.rays))):
             raise MalformedFan("some listed ray appears in no cone")
+        object.__setattr__(self, "_incidence", self._derive_incidence(facets, dets))
         if n == 2:
             self._check_plane_cones()
         elif n >= 3:
-            self._check_walls(positive)
+            self._check_walls(dets)
 
     def _check_plane_cones(self):
         """Refuse a 2-cone with a ray of the fan strictly inside it.
@@ -171,7 +174,7 @@ class Fan:
                 raise MalformedFan(
                     f"ray {self.rays[after[first]]} lies inside cone {cone}")
 
-    def _check_walls(self, positive: dict[Cone, bool]):
+    def _check_walls(self, dets: dict[Cone, int]):
         """Refuse two top cones on one wall that lie on the same side of it.
 
         Two top cones on a common wall meet in that wall only when their
@@ -182,14 +185,14 @@ class Fan:
 
         Those determinants need no new elimination: moving the ray off the
         wall from place k of a top cone's sorted rays to the end takes
-        n - 1 - k transpositions, so each sign is the top cone's own sign,
-        given in ``positive``, flipped when n - 1 - k is odd.
+        n - 1 - k transpositions, so each sign is the sign of the top cone's
+        own determinant, given in ``dets``, flipped when n - 1 - k is odd.
         """
         n = self.ambient_rank
         for wall, upper in self._incidence.upper.items():
             if len(upper) != 2:
                 continue
-            sides = [positive[top] != ((n - 1 - k) % 2 == 1)
+            sides = [(dets[top] > 0) != ((n - 1 - k) % 2 == 1)
                      for top in upper for k, i in enumerate(top) if i not in wall]
             if sides[0] == sides[1]:
                 raise MalformedFan(f"cones {upper[0]} and {upper[1]} lie on the same "
@@ -209,10 +212,11 @@ class Fan:
 
     # -- queries ----------------------------------------------------------
 
-    @cached_property
-    def _incidence(self) -> _Incidence:
+    def _derive_incidence(self, facets: set[Cone], dets: dict[Cone, int]) -> _Incidence:
         n = self.ambient_rank
-        tops = tuple(sorted(c for c in self.cones if len(c) == n))
+        maximal = tuple(sorted(c for c in self.cones if c not in facets))
+        # No n-cone is a facet, so the top cones are the maximal n-cones.
+        tops = tuple(c for c in maximal if len(c) == n)
         # Keyed by the fan's own wall tuples, so no copies are kept, and
         # inserted in sorted order, so walls() need not sort.
         upper: dict[Cone, tuple[Cone, ...]] = {
@@ -221,13 +225,11 @@ class Fan:
             for i in range(n):
                 wall = top[:i] + top[i + 1:]
                 upper[wall] += (top,)
-        smooth = all(is_unimodular_basis([self.rays[i] for i in c]) for c in tops)
-        # Good: smooth, and every maximal cone (a cone that is no other
-        # cone's facet, the fan being closed under faces) is top-dimensional.
-        facets = _facets(self.cones) if smooth else set()
-        good = smooth and all(len(c) == n or c in facets for c in self.cones)
+        smooth = all(abs(d) == 1 for d in dets.values())
+        # Good: smooth, and every maximal cone is top-dimensional.
+        good = smooth and len(tops) == len(maximal)
         proper = bool(tops) and all(len(u) == 2 for u in upper.values())
-        return _Incidence(tops, upper, smooth, good, proper)
+        return _Incidence(maximal, tops, upper, smooth, good, proper)
 
     @cached_property
     def _walls(self) -> tuple[Wall, ...]:
@@ -263,8 +265,7 @@ class Fan:
         return self._incidence.tops
 
     def maximal_cones(self) -> tuple[Cone, ...]:
-        facets = _facets(self.cones)
-        return tuple(sorted(c for c in self.cones if c not in facets))
+        return self._incidence.maximal
 
     def ray_matrix(self, cone: Cone) -> IntMatrix:
         """Columns are the cone's ray generators in sorted index order."""

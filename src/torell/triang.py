@@ -4,6 +4,8 @@ The fan of an affine quotient singularity is the cone over a lattice
 simplex sitting at height one; unimodular triangulations of that simplex
 are exactly the crepant resolutions, and flipping a diagonal of a unit
 quadrilateral exchanges two of them while keeping them derived equivalent.
+Flips connect them all, so they are listed by a breadth-first walk over
+flips from the placing triangulation, bounded by WORK_LIMIT states.
 A certificate records the common simplex together with a replayable flip
 path between two triangulations.
 """
@@ -23,7 +25,6 @@ from .errors import (
     NotInSL,
     NotUnimodular,
     TooLarge,
-    TorellError,
     WORK_LIMIT,
 )
 from .fan import Fan
@@ -233,12 +234,16 @@ class DerivedEquivalenceCertificate:
             raise IllegalFlip("flip path does not reach the target")
 
 
+def _flipped_cells(cells, move: FlipMove) -> tuple[tuple[int, ...], ...]:
+    """The cells of a triangulation after a flip, sorted."""
+    return tuple(sorted((set(cells) - set(move.cells_before)) | set(move.cells_after)))
+
+
 def apply_flip(t: Triangulation, move: FlipMove):
     """The flipped triangulation plus the certificate pairing it with t."""
     if move not in flips(t):
         raise IllegalFlip(f"move removing edge {move.removed_edge} does not apply")
-    cells = (set(t.cells) - set(move.cells_before)) | set(move.cells_after)
-    flipped = Triangulation(t.simplex, tuple(sorted(cells)))
+    flipped = Triangulation(t.simplex, _flipped_cells(t.cells, move))
     return flipped, DerivedEquivalenceCertificate(source=t, target=flipped,
                                                   moves=(move,))
 
@@ -363,8 +368,37 @@ def _height_normalizer(heights: list[int]) -> list[list[int]]:
     return [list(row) for row in zip(*columns)]
 
 
-def unimodular_triangulations(simplex: LatticeSimplex, limit: int = 10000) -> tuple[Triangulation, ...]:
-    """Exhaustively enumerate unimodular triangulations of a small simplex."""
+def _placing_cells(simplex: LatticeSimplex) -> tuple[tuple[int, ...], ...]:
+    """The cells of the lexicographic placing triangulation of a triangle.
+
+    Each point, placed in sorted order, is a vertex of the hull of those
+    before it, which holds every earlier lattice point and no later one;
+    joined to each boundary edge it sees strictly, it makes empty, hence
+    unimodular, triangles and no T-junction.
+    """
+    pts = simplex.points
+    k = next(i for i in range(2, len(pts)) if _orient(pts[0], pts[1], pts[i]))
+    # Boundary edges run counter-clockwise.  The collinear points placed
+    # first form a chain of segments, each a boundary edge both ways.
+    boundary = {e for i in range(k - 1) for e in ((i, i + 1), (i + 1, i))}
+    cells = []
+    for p in range(k, len(pts)):
+        visible = {(a, b) for a, b in boundary if _orient(pts[a], pts[b], pts[p]) < 0}
+        cells += [tuple(sorted((a, b, p))) for a, b in visible]
+        # The visible edges form one path; p replaces it by two edges.
+        starts, ends = {a for a, _ in visible}, {b for _, b in visible}
+        (first,), (last,) = starts - ends, ends - starts
+        boundary = (boundary - visible) | {(first, p), (p, last)}
+    return tuple(sorted(cells))
+
+
+def unimodular_triangulations(simplex: LatticeSimplex) -> tuple[Triangulation, ...]:
+    """Every unimodular triangulation of a simplex of dimension 1 or 2.
+
+    Flips connect the triangulations of a lattice polygon that use every
+    point (Lawson 1972), so the plane case walks flips breadth first from
+    the placing triangulation; more than WORK_LIMIT states raise TooLarge.
+    """
     if simplex.dim == 1:
         order = [simplex.point_index(p) for p in sorted(simplex.points)]
         cells = tuple(tuple(sorted((order[i], order[i + 1])))
@@ -372,61 +406,18 @@ def unimodular_triangulations(simplex: LatticeSimplex, limit: int = 10000) -> tu
         return (Triangulation(simplex, tuple(sorted(cells))),)
     if simplex.dim != 2:
         raise NotDim2("enumeration is implemented for dimensions 1 and 2")
-    if len(simplex.points) > 12:
-        raise DimensionMismatch("enumeration is limited to small simplices")
-    pts = simplex.points
-    verts = list(simplex.vertices)
-    if _orient(*verts) < 0:
-        verts[1], verts[2] = verts[2], verts[1]
-    pending0 = set()
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        va, vb = verts[a], verts[b]
-        on_side = [p for p in pts
-                   if _orient(va, vb, p) == 0
-                   and min(va[0], vb[0]) <= p[0] <= max(va[0], vb[0])
-                   and min(va[1], vb[1]) <= p[1] <= max(va[1], vb[1])]
-        on_side.sort(key=lambda p: ((p[0] - va[0]) ** 2 + (p[1] - va[1]) ** 2))
-        for p, q in zip(on_side, on_side[1:]):
-            pending0.add((simplex.point_index(p), simplex.point_index(q)))
-    results: list[Triangulation] = []
-
-    def search(pending, placed):
-        if len(results) >= limit:
-            return
-        if not pending:
-            results.append(Triangulation(simplex, tuple(sorted(placed))))
-            return
-        a, b = min(pending)
-        pa, pb = pts[a], pts[b]
-        for w in range(len(pts)):
-            if w in (a, b):
-                continue
-            pw = pts[w]
-            if _orient(pa, pb, pw) != 1:
-                continue
-            tri = (pa, pb, pw)
-            if any(_triangles_overlap(tri, old) for old in placed_tris):
-                continue
-            new_pending = set(pending)
-            new_pending.discard((a, b))
-            ok = True
-            for e in ((b, w), (w, a)):
-                if e in new_pending:
-                    new_pending.discard(e)
-                else:
-                    rev = (e[1], e[0])
-                    if rev in new_pending:
-                        raise TorellError(f"edge {rev} would bound three cells")
-                    new_pending.add(rev)
-            placed.append(tuple(sorted((a, b, w))))
-            placed_tris.append(tri)
-            search(new_pending, placed)
-            placed.pop()
-            placed_tris.pop()
-
-    placed_tris: list = []
-    search(pending0, [])
-    return tuple(sorted(results, key=lambda t: t.cells))
+    start = Triangulation(simplex, _placing_cells(simplex))
+    seen, found = {start.cells}, [start]
+    for t in found:                     # found grows while it is read
+        for move in flips(t):
+            cells = _flipped_cells(t.cells, move)
+            if cells not in seen:
+                if len(seen) == WORK_LIMIT:
+                    raise TooLarge(f"the simplex has more than {WORK_LIMIT} unimodular "
+                                   "triangulations")
+                seen.add(cells)
+                found.append(Triangulation(simplex, cells))
+    return tuple(sorted(found, key=lambda t: t.cells))
 
 
 # --- built-in quotient example --------------------------------------------

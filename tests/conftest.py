@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from torell.errors import MalformedFan, TorellError
+from torell.errors import DimensionMismatch, MalformedFan, TorellError
 from torell.fan import Fan, validate
 from torell.fan_io import complete_surface_fan, corpus_names, load_corpus_fan
-from torell.triang import cone_fan, quotient_simplex, unimodular_triangulations
+from torell.triang import LatticeSimplex, cone_fan, quotient_simplex, unimodular_triangulations
 
 CORPUS = (
     "affine1", "affine2", "affine3",
@@ -115,6 +115,30 @@ def blowup_surfaces():
     for fan, flipped, _ in single_reversal_pairs(rng, 3):
         fans += [fan, flipped]
     return fans
+
+
+# Generators of the seven quotient triangles of the flops benchmark workload.
+FLOP_TRIANGLE_GENERATORS = (
+    [("1/2", "1/2", "0"), ("1/2", "0", "1/2")],
+    [("1/3", "2/3", "0"), ("1/3", "0", "2/3")],
+    [("1/6", "2/6", "3/6")], [("1/8", "3/8", "4/8")], [("1/9", "2/9", "6/9")],
+    [("1/10", "4/10", "5/10")], [("1/11", "2/11", "8/11")],
+)
+
+
+def random_lattice_triangles(rng, count):
+    """Lattice triangles with vertices in [-4, 4]^2 and at most 12 lattice
+    points."""
+    out = []
+    while len(out) < count:
+        try:
+            simplex = LatticeSimplex.from_vertices(
+                [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(3)])
+        except DimensionMismatch:
+            continue
+        if len(simplex.points) <= 12:
+            out.append(simplex)
+    return out
 
 
 def three_delta_cone_fans():

@@ -6,8 +6,9 @@ fixpoint and per-ray saturation the library used before it derived one
 incidence index per fan, closed forms for single vectors, normals and ray
 lines, and the closed-form list of the Čech poset; the per-call wall
 builder and the hashed multiset counts the library used before each fan
-derived its walls once; plus exact point location and rational
-determinants for the fan axiom.  They are slow but follow the definitions
+derived its walls once; exact point location and rational
+determinants for the fan axiom; and the backtracking enumerator of
+unimodular triangulations the library used before it walked flips.  They are slow but follow the definitions
 literally, so the fast code is checked against them.
 """
 
@@ -30,6 +31,7 @@ from torell.lattice import (
     sign_normalized,
     span_class,
 )
+from torell.triang import Triangulation, _orient, _triangles_overlap
 
 
 def closed_and_independent(n, rays, cones):
@@ -349,3 +351,59 @@ def cech_elements(fan):
                     elements[met.ray_letters] = met
                     changed = True
     return tuple(sorted(elements.values(), key=lambda e: e.sort_key()))
+
+
+def unimodular_triangulations(simplex):
+    """Every unimodular triangulation of a lattice triangle, by placing
+    cells against pending boundary edges and backtracking, each new cell
+    checked for overlap against every placed one; sorted by cells."""
+    pts = simplex.points
+    verts = list(simplex.vertices)
+    if _orient(*verts) < 0:
+        verts[1], verts[2] = verts[2], verts[1]
+    pending0 = set()
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        va, vb = verts[a], verts[b]
+        on_side = [p for p in pts
+                   if _orient(va, vb, p) == 0
+                   and min(va[0], vb[0]) <= p[0] <= max(va[0], vb[0])
+                   and min(va[1], vb[1]) <= p[1] <= max(va[1], vb[1])]
+        on_side.sort(key=lambda p: ((p[0] - va[0]) ** 2 + (p[1] - va[1]) ** 2))
+        for p, q in zip(on_side, on_side[1:]):
+            pending0.add((simplex.point_index(p), simplex.point_index(q)))
+    results = []
+
+    def search(pending, placed):
+        if not pending:
+            results.append(Triangulation(simplex, tuple(sorted(placed))))
+            return
+        a, b = min(pending)
+        pa, pb = pts[a], pts[b]
+        for w in range(len(pts)):
+            if w in (a, b):
+                continue
+            pw = pts[w]
+            if _orient(pa, pb, pw) != 1:
+                continue
+            tri = (pa, pb, pw)
+            if any(_triangles_overlap(tri, old) for old in placed_tris):
+                continue
+            new_pending = set(pending)
+            new_pending.discard((a, b))
+            for e in ((b, w), (w, a)):
+                if e in new_pending:
+                    new_pending.discard(e)
+                else:
+                    rev = (e[1], e[0])
+                    if rev in new_pending:
+                        raise TorellError(f"edge {rev} would bound three cells")
+                    new_pending.add(rev)
+            placed.append(tuple(sorted((a, b, w))))
+            placed_tris.append(tri)
+            search(new_pending, placed)
+            placed.pop()
+            placed_tris.pop()
+
+    placed_tris = []
+    search(pending0, [])
+    return tuple(sorted(results, key=lambda t: t.cells))

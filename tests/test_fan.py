@@ -13,7 +13,7 @@ from torell.fan import Fan, chart, fan_isomorphic, validate, walls
 from torell.lattice import IntMatrix, saturate
 from torell.triang import apply_flip, cone_fan, flips, quotient_simplex, unimodular_triangulations
 
-from conftest import blowup_surfaces, random_fan_data, shuffled_fan
+from conftest import FLOP_TRIANGLE_GENERATORS, blowup_surfaces, random_fan_data, shuffled_fan
 
 
 def covers_direction(fan, direction):
@@ -104,12 +104,8 @@ class TestWallAxiom:
     def test_quotient_cone_fans_accepted(self):
         # Every triangulation, and every flip of one, of the seven quotient
         # triangles of the flops benchmark workload gives a cone fan.
-        groups = ([("1/2", "1/2", "0"), ("1/2", "0", "1/2")],
-                  [("1/3", "2/3", "0"), ("1/3", "0", "2/3")],
-                  [("1/6", "2/6", "3/6")], [("1/8", "3/8", "4/8")], [("1/9", "2/9", "6/9")],
-                  [("1/10", "4/10", "5/10")], [("1/11", "2/11", "8/11")])
         flipped = 0
-        for generators in groups:
+        for generators in FLOP_TRIANGLE_GENERATORS:
             for t in unimodular_triangulations(quotient_simplex(generators)):
                 assert cone_fan(t).is_good()
                 for move in flips(t):

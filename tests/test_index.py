@@ -1,6 +1,7 @@
 """The fan incidence index and the lattice closed forms against the oracles."""
 
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from torell import fan as fan_module
+from torell import lattice
 from torell.ellinv import compare, ell_shadow, incidence_matrix, ray_line_classes
 from torell.errors import MalformedFan, NotGood, RankMismatch
-from torell.fan import Fan, fan_isomorphic, walls
+from torell.fan import Fan, fan_isomorphic, validate, walls
 from torell.lattice import IntMatrix, primitive_normal, saturate, span_class
 
 from conftest import blowup_surfaces, random_fans, shuffled_fan, three_delta_cone_fans
@@ -111,6 +114,20 @@ class TestIndexAgainstScans:
 
     def test_index_is_built_once_per_fan(self, p2):
         assert p2._incidence is p2._incidence
+
+    def test_one_determinant_per_top_cone_and_one_facet_pass(self, monkeypatch):
+        # Smoothness reads the determinants the independence check takes,
+        # and the maximal cones come from the facets it lists.
+        surface = blowup_surfaces()[5]
+        calls = Counter()
+        for module, name in ((lattice, "_bareiss"), (fan_module, "_facets")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda arg, real=real, name=name: calls.update([name]) or real(arg))
+        fan = Fan.from_cones(2, surface.rays, surface.maximal_cones())
+        assert validate(fan) == validate(surface)
+        assert fan.maximal_cones() == surface.maximal_cones()
+        assert calls == {"_bareiss": len(fan.top_cones()), "_facets": 1}
 
     @settings(max_examples=300, deadline=None)
     @given(random_fans())

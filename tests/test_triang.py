@@ -1,11 +1,14 @@
 """Quotient simplices, triangulations, flips, certificates, cone fans."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
+from torell import triang
 from torell.ellinv import NOT_ISOMORPHIC, compare, ell_shadow
-from torell.errors import IllegalFlip, NotDim2, NotInSL, NotUnimodular
+from torell.errors import IllegalFlip, NotDim2, NotInSL, NotUnimodular, TooLarge
 from torell.fan import validate
 from torell.triang import (
     LatticeSimplex,
@@ -23,6 +26,11 @@ from torell.triang import (
     simplices_equivalent,
     unimodular_triangulations,
 )
+
+from conftest import FLOP_TRIANGLE_GENERATORS, random_lattice_triangles
+
+TWO_DELTA = LatticeSimplex.from_vertices([(0, 0), (2, 0), (0, 2)])
+THREE_DELTA = LatticeSimplex.from_vertices([(0, 0), (3, 0), (0, 3)])
 
 
 class TestQuotientSimplex:
@@ -170,6 +178,36 @@ class TestEnumeration:
         t, _ = mu2_kernel_triangulations()
         reachable = {t} | {apply_flip(t, m)[0] for m in flips(t)}
         assert reachable == set(unimodular_triangulations(t.simplex))
+
+
+@pytest.fixture(scope="module")
+def oracle_simplices():
+    """2Δ, 3Δ, the seven flops quotient triangles and 200 random lattice
+    triangles with at most 12 points."""
+    return ([TWO_DELTA, THREE_DELTA]
+            + [quotient_simplex(g) for g in FLOP_TRIANGLE_GENERATORS]
+            + random_lattice_triangles(random.Random(2024), 200))
+
+
+class TestFlipWalk:
+    def test_walk_equals_backtracker(self, oracle_simplices):
+        for s in oracle_simplices:
+            assert unimodular_triangulations(s) == oracles.unimodular_triangulations(s)
+
+    def test_placing_cells_form_a_triangulation(self, oracle_simplices):
+        for s in oracle_simplices:
+            Triangulation(s, triang._placing_cells(s))
+
+    def test_thin_simplex_past_twelve_points(self):
+        s = LatticeSimplex.from_vertices([(0, 0), (12, 0), (0, 1)])
+        assert len(s.points) == 14
+        (t,) = unimodular_triangulations(s)
+        assert len(t.cells) == 12
+
+    def test_too_many_states_raise(self, monkeypatch):
+        monkeypatch.setattr(triang, "WORK_LIMIT", 10)
+        with pytest.raises(TooLarge):
+            unimodular_triangulations(THREE_DELTA)
 
 
 class TestFlopInvariants:
