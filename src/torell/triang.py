@@ -6,15 +6,18 @@ are exactly the crepant resolutions, and flipping a diagonal of a unit
 quadrilateral exchanges two of them while keeping them derived equivalent.
 Flips connect them all, so they are listed by a breadth-first walk over
 flips from the placing triangulation, bounded by WORK_LIMIT states.
+Every triangulation, in any dimension, is checked on construction by one
+linear rule on facet incidence: each facet of a cell lies on two cells on
+opposite sides of it or in the simplex's boundary.
 A certificate records the common simplex together with a replayable flip
 path between two triangulations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import lcm, prod
 from typing import Iterable, Optional, Sequence
 
@@ -48,12 +51,12 @@ class LatticeSimplex:
     dim: int
     vertices: tuple[Point, ...]
     points: tuple[Point, ...]          # all lattice points, sorted
-    boundary_points: tuple[Point, ...]
-    interior_points: tuple[Point, ...]
+    # per point, the facets it lies on, facet j being opposite vertices[j]
+    point_facets: tuple[frozenset[int], ...] = field(compare=False, repr=False)
 
     @classmethod
     def from_vertices(cls, vertices: Sequence[Sequence[int]]) -> "LatticeSimplex":
-        vertices = tuple(tuple(int(x) for x in v) for v in vertices)
+        vertices = tuple(sorted(tuple(int(x) for x in v) for v in vertices))
         if not vertices:
             raise DimensionMismatch("a simplex needs vertices")
         dim = len(vertices[0])
@@ -63,8 +66,15 @@ class LatticeSimplex:
             [tuple(v[i] - vertices[0][i] for i in range(dim)) for v in vertices[1:]])
         if determinant(edges) == 0:
             raise DimensionMismatch("simplex vertices are affinely dependent")
-        points, boundary, interior = _enumerate_points(vertices, dim)
-        return cls(dim, tuple(sorted(vertices)), points, boundary, interior)
+        return cls(dim, vertices, *_enumerate_points(vertices, dim))
+
+    @property
+    def boundary_points(self) -> tuple[Point, ...]:
+        return tuple(p for p, on in zip(self.points, self.point_facets) if on)
+
+    @property
+    def interior_points(self) -> tuple[Point, ...]:
+        return tuple(p for p, on in zip(self.points, self.point_facets) if not on)
 
     def normalized_volume(self) -> int:
         base = self.vertices[0]
@@ -77,6 +87,7 @@ class LatticeSimplex:
 
 
 def _enumerate_points(vertices, dim):
+    """The lattice points, in sorted order, and the facets each lies on."""
     ranges = [range(min(v[i] for v in vertices), max(v[i] for v in vertices) + 1)
               for i in range(dim)]
     box = prod(len(r) for r in ranges)
@@ -91,15 +102,15 @@ def _enumerate_points(vertices, dim):
     inverse = [row[dim:] for row in row_reduce(edges)[0]]
     scale = lcm(*(x.denominator for row in inverse for x in row))
     inverse = [[int(x * scale) for x in row] for row in inverse]
-    points, boundary, interior = [], [], []
+    points, point_facets = [], []
     for p in product(*ranges):
         offset = [p[i] - base[i] for i in range(dim)]
         lam = [sum(x * y for x, y in zip(row, offset)) for row in inverse]
         coords = [scale - sum(lam)] + lam
         if all(c >= 0 for c in coords):
             points.append(p)
-            (boundary if any(c == 0 for c in coords) else interior).append(p)
-    return tuple(sorted(points)), tuple(sorted(boundary)), tuple(sorted(interior))
+            point_facets.append(frozenset(j for j, c in enumerate(coords) if c == 0))
+    return tuple(points), tuple(point_facets)
 
 
 def _solve_fractions(rows, rhs):
@@ -119,34 +130,43 @@ class Triangulation:
     cells: tuple[tuple[int, ...], ...]   # sorted point-index tuples
 
     def __post_init__(self):
+        """Check the cells form a unimodular triangulation using every point.
+
+        A facet of a cell must lie on exactly two cells whose remaining
+        points are on opposite sides of it, or on one cell and inside a
+        facet of the simplex.  Then crossing a facet keeps the number of
+        cells over a generic point, so that number is constant on the
+        simplex, and as many cells as the normalized volume make it one.
+
+        The side needs no new elimination: moving the remaining point from
+        place k of a cell to the end takes dim - k transpositions, so up to a
+        sign shared by every cell it is the sign of the cell's own
+        determinant, flipped when dim - k is odd.
+        """
         dim = self.simplex.dim
         pts = self.simplex.points
-        used = set()
-        volume = 0
+        sides: dict[tuple[int, ...], list[bool]] = {}
         for cell in self.cells:
             if len(cell) != dim + 1 or tuple(sorted(cell)) != cell:
                 raise NotUnimodular(f"cell {cell} is not a sorted (dim+1)-tuple")
             base = pts[cell[0]]
-            edges = IntMatrix.from_rows(
-                [tuple(pts[i][k] - base[k] for k in range(dim)) for i in cell[1:]])
-            if abs(determinant(edges)) != 1:
+            det = determinant(IntMatrix.from_rows(
+                [tuple(pts[i][k] - base[k] for k in range(dim)) for i in cell[1:]]))
+            if abs(det) != 1:
                 raise NotUnimodular(f"cell {cell} has normalized volume != 1")
-            used.update(cell)
-            volume += 1
-        if volume != self.simplex.normalized_volume():
+            for k in range(dim + 1):
+                sides.setdefault(cell[:k] + cell[k + 1:], []).append(
+                    (det > 0) != ((dim - k) % 2 == 1))
+        if len(self.cells) != self.simplex.normalized_volume():
             raise NotUnimodular("cells do not fill the simplex")
-        if used != set(range(len(pts))):
+        if set().union(*self.cells) != set(range(len(pts))):
             raise NotUnimodular("triangulation must use every lattice point")
-        if dim == 2:
-            tris = [tuple(pts[i] for i in cell) for cell in self.cells]
-            for t1, t2 in combinations(tris, 2):
-                if _triangles_overlap(t1, t2):
-                    raise NotUnimodular("cells overlap")
-        elif dim == 1:
-            segs = sorted((pts[c[0]][0], pts[c[1]][0]) for c in self.cells)
-            for (a1, b1), (a2, _) in zip(segs, segs[1:]):
-                if b1 != a2:
-                    raise NotUnimodular("cells overlap")
+        on = self.simplex.point_facets
+        for facet, side in sides.items():
+            interior = len(side) == 2 and side[0] != side[1]
+            boundary = len(side) == 1 and frozenset.intersection(*(on[i] for i in facet))
+            if not (interior or boundary):
+                raise NotUnimodular(f"cells overlap or leave a gap at facet {facet}")
 
     def interior_edges(self) -> dict[tuple[int, int], tuple]:
         """Facets shared by exactly two cells, with the sharing cells."""
@@ -155,24 +175,6 @@ class Triangulation:
             for facet in combinations(cell, len(cell) - 1):
                 facets.setdefault(facet, []).append(cell)
         return {f: tuple(cs) for f, cs in facets.items() if len(cs) == 2}
-
-
-def _ccw(tri):
-    return tri if _orient(*tri) > 0 else (tri[0], tri[2], tri[1])
-
-
-def _triangles_overlap(t1, t2) -> bool:
-    """Exact test for positive-area intersection of two triangles."""
-    t1, t2 = _ccw(t1), _ccw(t2)
-
-    def separates(tri, other):
-        for k in range(3):
-            p, q = tri[k], tri[(k + 1) % 3]
-            if all(_orient(p, q, x) <= 0 for x in other):
-                return True
-        return False
-
-    return not (separates(t1, t2) or separates(t2, t1))
 
 
 @dataclass(frozen=True)
@@ -320,14 +322,13 @@ def quotient_simplex(generators: Iterable[Sequence], rank: Optional[int] = None)
 def simplices_equivalent(s1: LatticeSimplex, s2: LatticeSimplex) -> bool:
     """True when an integral-affine unimodular map carries one simplex,
     with all its lattice points, onto the other."""
-    from itertools import permutations
-
     if s1.dim != s2.dim or len(s1.points) != len(s2.points):
         return False
     d = s1.dim
     v1 = s1.vertices
     base1 = v1[0]
     e1_cols = [[Fraction(v1[j + 1][i] - base1[i]) for j in range(d)] for i in range(d)]
+    cols_t = [[e1_cols[j][k] for j in range(d)] for k in range(d)]
     for perm in permutations(range(d + 1)):
         v2 = [s2.vertices[i] for i in perm]
         base2 = v2[0]
@@ -335,7 +336,6 @@ def simplices_equivalent(s1: LatticeSimplex, s2: LatticeSimplex) -> bool:
         integral = True
         for i in range(d):
             rhs = [Fraction(v2[k + 1][i] - base2[i]) for k in range(d)]
-            cols_t = [[e1_cols[j][k] for j in range(d)] for k in range(d)]
             sol = _solve_fractions(cols_t, rhs)
             if any(x.denominator != 1 for x in sol):
                 integral = False
@@ -400,10 +400,8 @@ def unimodular_triangulations(simplex: LatticeSimplex) -> tuple[Triangulation, .
     the placing triangulation; more than WORK_LIMIT states raise TooLarge.
     """
     if simplex.dim == 1:
-        order = [simplex.point_index(p) for p in sorted(simplex.points)]
-        cells = tuple(tuple(sorted((order[i], order[i + 1])))
-                      for i in range(len(order) - 1))
-        return (Triangulation(simplex, tuple(sorted(cells))),)
+        cells = tuple((i, i + 1) for i in range(len(simplex.points) - 1))
+        return (Triangulation(simplex, cells),)
     if simplex.dim != 2:
         raise NotDim2("enumeration is implemented for dimensions 1 and 2")
     start = Triangulation(simplex, _placing_cells(simplex))

@@ -7,9 +7,11 @@ incidence index per fan, closed forms for single vectors, normals and ray
 lines, and the closed-form list of the Čech poset; the per-call wall
 builder and the hashed multiset counts the library used before each fan
 derived its walls once; exact point location and rational
-determinants for the fan axiom; and the backtracking enumerator of
-unimodular triangulations the library used before it walked flips.  They are slow but follow the definitions
-literally, so the fast code is checked against them.
+determinants for the fan axiom; the backtracking enumerator of
+unimodular triangulations the library used before it walked flips; and
+the pairwise triangle-overlap check the library used before it checked
+facet incidence.  They are slow but follow the definitions literally, so
+the fast code is checked against them.
 """
 
 from collections import Counter
@@ -31,7 +33,7 @@ from torell.lattice import (
     sign_normalized,
     span_class,
 )
-from torell.triang import Triangulation, _orient, _triangles_overlap
+from torell.triang import Triangulation, _orient
 
 
 def closed_and_independent(n, rays, cones):
@@ -351,6 +353,37 @@ def cech_elements(fan):
                     elements[met.ray_letters] = met
                     changed = True
     return tuple(sorted(elements.values(), key=lambda e: e.sort_key()))
+
+
+def _ccw(tri):
+    return tri if _orient(*tri) > 0 else (tri[0], tri[2], tri[1])
+
+
+def _triangles_overlap(t1, t2) -> bool:
+    """Exact test for positive-area intersection of two triangles."""
+    t1, t2 = _ccw(t1), _ccw(t2)
+
+    def separates(tri, other):
+        for k in range(3):
+            p, q = tri[k], tri[(k + 1) % 3]
+            if all(_orient(p, q, x) <= 0 for x in other):
+                return True
+        return False
+
+    return not (separates(t1, t2) or separates(t2, t1))
+
+
+def triangulation_ok(simplex, cells):
+    """Whether cells form a unimodular triangulation of a lattice triangle
+    using every point: sorted unimodular cells, as many as the normalized
+    volume, and no two of positive-area intersection."""
+    pts = simplex.points
+    tris = [tuple(pts[i] for i in cell) for cell in cells]
+    return (all(len(cell) == 3 and tuple(sorted(cell)) == cell for cell in cells)
+            and all(abs(_orient(*tri)) == 1 for tri in tris)
+            and len(cells) == simplex.normalized_volume()
+            and set().union(*cells) == set(range(len(pts)))
+            and not any(_triangles_overlap(t1, t2) for t1, t2 in combinations(tris, 2)))
 
 
 def unimodular_triangulations(simplex):

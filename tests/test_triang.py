@@ -1,7 +1,9 @@
 """Quotient simplices, triangulations, flips, certificates, cone fans."""
 
+import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -31,6 +33,7 @@ from conftest import FLOP_TRIANGLE_GENERATORS, random_lattice_triangles
 
 TWO_DELTA = LatticeSimplex.from_vertices([(0, 0), (2, 0), (0, 2)])
 THREE_DELTA = LatticeSimplex.from_vertices([(0, 0), (3, 0), (0, 3)])
+FOUR_DELTA = LatticeSimplex.from_vertices([(0, 0), (4, 0), (0, 4)])
 
 
 class TestQuotientSimplex:
@@ -49,6 +52,7 @@ class TestQuotientSimplex:
         s = quotient_simplex(mu2_kernel_generators())
         assert len(s.points) == 6
         assert len(s.boundary_points) == 6 and not s.interior_points
+        assert THREE_DELTA.interior_points == ((1, 1),)
         assert s == mu2_kernel_simplex()
         assert simplices_equivalent(s, mu2_kernel_simplex())
 
@@ -81,6 +85,37 @@ class TestTriangulation:
         ]))
         with pytest.raises(NotUnimodular):
             Triangulation(s, cells)
+
+    def test_cone_over_medial_triangulation_accepted(self):
+        s = LatticeSimplex.from_vertices([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 1)])
+        medial, _ = mu2_kernel_triangulations()
+        apex = s.point_index((0, 0, 1))
+        base = [s.point_index(p + (0,)) for p in medial.simplex.points]
+        cells = tuple(sorted(tuple(sorted([base[i] for i in c] + [apex]))
+                             for c in medial.cells))
+        assert len(Triangulation(s, cells).cells) == 4
+
+    def test_duplicated_cell_in_dimension_three_rejected(self):
+        # Four unimodular cells of the right volume using every point, but
+        # the corner cell twice and a hole where the medial cell was.
+        s = LatticeSimplex.from_vertices([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 1)])
+        i = s.point_index
+        corner = tuple(sorted((i((0, 0, 0)), i((1, 0, 0)), i((0, 1, 0)), i((0, 0, 1)))))
+        cells = tuple(sorted([
+            corner, corner,
+            tuple(sorted((i((1, 0, 0)), i((2, 0, 0)), i((1, 1, 0)), i((0, 0, 1))))),
+            tuple(sorted((i((0, 1, 0)), i((1, 1, 0)), i((0, 2, 0)), i((0, 0, 1))))),
+        ]))
+        with pytest.raises(NotUnimodular):
+            Triangulation(s, cells)
+
+    def test_duplicated_segment_rejected(self):
+        s = LatticeSimplex.from_vertices([(0,), (3,)])
+        with pytest.raises(NotUnimodular):
+            Triangulation(s, ((0, 1), (0, 1), (2, 3)))
+
+    def test_fields_are_simplex_and_cells(self):
+        assert [f.name for f in dataclasses.fields(Triangulation)] == ["simplex", "cells"]
 
     def test_interval_cells(self):
         s = quotient_simplex(antidiagonal_generators(2))
@@ -204,10 +239,47 @@ class TestFlipWalk:
         (t,) = unimodular_triangulations(s)
         assert len(t.cells) == 12
 
+    def test_four_delta_count(self):
+        assert len(unimodular_triangulations(FOUR_DELTA)) == 7424
+
     def test_too_many_states_raise(self, monkeypatch):
         monkeypatch.setattr(triang, "WORK_LIMIT", 10)
         with pytest.raises(TooLarge):
             unimodular_triangulations(THREE_DELTA)
+
+
+class TestFacetCheckAgainstOracle:
+    TRIANGLES = [((0, 0), (2, 0), (0, 2)), ((0, 0), (3, 0), (0, 3)),
+                 ((0, 0), (4, 0), (0, 2)), ((0, 0), (3, 0), (1, 3)),
+                 ((0, 0), (5, 0), (0, 1)), ((0, 0), (2, 0), (1, 3))]
+
+    def test_agrees_with_pairwise_overlap(self):
+        """4,000 cell tuples per triangle: valid triangulations with one or
+        two cells replaced, and lists of unimodular cells of the right count."""
+        rng = random.Random(808)
+        verdicts = []
+        for vertices in self.TRIANGLES:
+            s = LatticeSimplex.from_vertices(vertices)
+            unit = [c for c in combinations(range(len(s.points)), 3)
+                    if abs(triang._orient(*(s.points[i] for i in c))) == 1]
+            valid = unimodular_triangulations(s)
+            candidates = []
+            for _ in range(2000):
+                cells = list(rng.choice(valid).cells)
+                for k in rng.sample(range(len(cells)), rng.randint(1, 2)):
+                    cells[k] = rng.choice(unit)
+                candidates.append(cells)
+            candidates += [rng.choices(unit, k=s.normalized_volume()) for _ in range(2000)]
+            for cells in candidates:
+                cells = tuple(sorted(cells))
+                try:
+                    Triangulation(s, cells)
+                    accepted = True
+                except NotUnimodular:
+                    accepted = False
+                assert accepted == oracles.triangulation_ok(s, cells), (vertices, cells)
+                verdicts.append(accepted)
+        assert len(verdicts) == 24000 and 0 < sum(verdicts) < len(verdicts)
 
 
 class TestFlopInvariants:
