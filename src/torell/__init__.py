@@ -7,61 +7,59 @@ isomorphism verdicts, the distinguished affine cover of the associated
 abelian-variety gluing together with its graded intersection poset, and
 flop pairs of crepant resolutions of abelian quotient singularities with
 derived-equivalence certificates.  All arithmetic is exact.
+
+``import torell`` loads no submodule: each public name below is imported
+from its home module on first access, so a caller pays only for the layers
+it uses.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .cech import (
-    CechPoset,
-    CoverElement,
-    CubePoset,
-    FiniteComplex,
-    WitnessReport,
-    cech_poset,
-    classify,
-    cohomology_witness,
-    cover,
-    cube_poset,
-    poset_witness,
-    reduce_complex,
-)
-from .ellinv import (
-    ISOMORPHIC,
-    NOT_ISOMORPHIC,
-    UNKNOWN,
-    EllShadow,
-    MayerVietorisLadder,
-    SurfaceIncidence,
-    Verdict,
-    compare,
-    ell_shadow,
-    flip_certificate,
-    incidence_matrix,
-    mv_ladder,
-)
-from .fan import Fan, ChartBasis, FanReport, Wall, chart, fan_isomorphic, validate, walls
-from .gkm import MomentGraph, PartialSkeleton, moment_graph, partial_skeleton
-from .lattice import (
-    IntMatrix,
-    SublatticeClass,
-    determinant,
-    hnf,
-    is_unimodular_basis,
-    primitive_normal,
-    saturate,
-)
-from .triang import (
-    DerivedEquivalenceCertificate,
-    FlipMove,
-    LatticeSimplex,
-    Triangulation,
-    apply_flip,
-    cone_fan,
-    compose_certificates,
-    flips,
-    quotient_simplex,
-    simplices_equivalent,
-    unimodular_triangulations,
-)
+_EXPORTS = {
+    "cech": (
+        "CechPoset", "CoverElement", "CubePoset", "FiniteComplex", "WitnessReport",
+        "cech_poset", "classify", "cohomology_witness", "cover", "cube_poset",
+        "poset_witness", "reduce_complex",
+    ),
+    "ellinv": (
+        "ISOMORPHIC", "NOT_ISOMORPHIC", "UNKNOWN", "EllShadow", "MayerVietorisLadder",
+        "SurfaceIncidence", "Verdict", "compare", "ell_shadow", "flip_certificate",
+        "incidence_matrix", "mv_ladder",
+    ),
+    "errors": (),
+    "fan": (
+        "Fan", "ChartBasis", "FanReport", "Wall", "chart", "fan_isomorphic", "validate",
+        "walls",
+    ),
+    "gkm": ("MomentGraph", "PartialSkeleton", "moment_graph", "partial_skeleton"),
+    "lattice": (
+        "IntMatrix", "SublatticeClass", "determinant", "hnf", "is_unimodular_basis",
+        "primitive_normal", "saturate",
+    ),
+    "triang": (
+        "DerivedEquivalenceCertificate", "FlipMove", "LatticeSimplex", "Triangulation",
+        "apply_flip", "cone_fan", "compose_certificates", "flips", "quotient_simplex",
+        "simplices_equivalent", "unimodular_triangulations",
+    ),
+}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Public name -> home module; a submodule is its own home.
+_HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # The result is not stored in the package: a later lookup asks the home
+    # module again, so it always sees what that module binds now.
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f".{home}", __name__)
+    return module if name == home else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -3,6 +3,10 @@
 Every subcommand prints a deterministic report (JSON by default) on
 standard output.  Exit codes: 0 success, 1 a --expect assertion failed,
 2 usage or input errors.
+
+Each handler imports the layers it calls, so a command loads only the
+modules it runs: ``validate`` never compiles the Čech, shadow, moment-graph
+or triangulation code.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, cech, ellinv, fan as fan_mod, fan_io, gkm, triang
+from . import __version__, fan as fan_mod, fan_io
 from .errors import ParseError, TorellError
 
 
@@ -98,6 +102,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
+    from . import ellinv
+
     f, name, data = fan_io.resolve_fan_argument(args.fan, args.corpus)
     shadow = ellinv.ell_shadow(f)
     result = {"fan": name, "shadow": fan_io.shadow_json(shadow)}
@@ -113,6 +119,8 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import ellinv
+
     fa, name_a, data_a = fan_io.resolve_fan_argument(args.fan_a, args.corpus)
     fb, name_b, data_b = fan_io.resolve_fan_argument(args.fan_b, args.corpus)
     sa, sb = ellinv.ell_shadow(fa), ellinv.ell_shadow(fb)
@@ -135,6 +143,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gkm(args) -> int:
+    from . import gkm
+
     f, name, data = fan_io.resolve_fan_argument(args.fan, args.corpus)
     graph = gkm.moment_graph(f)
     if args.format == "dot":
@@ -151,6 +161,8 @@ def _cmd_gkm(args) -> int:
 
 
 def _cmd_cech(args) -> int:
+    from . import cech
+
     f, name, data = fan_io.resolve_fan_argument(args.fan, args.corpus)
     poset = cech.cech_poset(f)
     witness = cech.poset_witness(poset)
@@ -164,6 +176,8 @@ def _cmd_cech(args) -> int:
 
 
 def _resolve_triangulation(operand: str):
+    from . import triang
+
     if operand == "mu2-kernel":
         t, _ = triang.mu2_kernel_triangulations()
         return t, operand, fan_io.dumps_canonical(fan_io.triangulation_json(t)).encode()
@@ -172,6 +186,8 @@ def _resolve_triangulation(operand: str):
 
 
 def _flip_listing(t):
+    from . import triang
+
     moves = triang.flips(t)
     alias_of = {m: [] for m in moves}
     for name, move in triang.flip_aliases(t).items():
@@ -180,6 +196,8 @@ def _flip_listing(t):
 
 
 def _cmd_flop(args) -> int:
+    from . import triang
+
     t, name, data = _resolve_triangulation(args.triangulation)
     moves, alias_of = _flip_listing(t)
     listing = [{"id": i,
@@ -202,6 +220,8 @@ def _cmd_flop(args) -> int:
             break
     if chosen is None:
         raise TorellError(f"no flip with id {args.apply!r}; use --list")
+    from . import ellinv
+
     flipped, certificate = triang.apply_flip(t, chosen)
     fan_before = triang.cone_fan(t)
     fan_after = triang.cone_fan(flipped)
@@ -237,6 +257,8 @@ def _parse_generators(spec: str):
 
 
 def _cmd_mckay(args) -> int:
+    from . import triang
+
     if args.generators is None and args.rank is None:
         gens = triang.mu2_kernel_generators()
     elif args.generators is None:

@@ -15,16 +15,19 @@ import os
 import re
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .cech import CechPoset, CoverElement, WitnessReport, classify
-from .ellinv import EllShadow, MayerVietorisLadder, SurfaceIncidence, Verdict
 from .errors import MalformedFan, ParseError, SchemaError, TorellError
 from .fan import Fan, FanReport, ccw_order
-from .gkm import MomentGraph, PartialSkeleton
 from .lattice import SublatticeClass, primitive_normal
-from .triang import DerivedEquivalenceCertificate, LatticeSimplex, Triangulation
+
+if TYPE_CHECKING:
+    # Annotations only: parsing and validating fans must not load these layers.
+    from .cech import CechPoset, CoverElement, WitnessReport
+    from .ellinv import EllShadow, MayerVietorisLadder, SurfaceIncidence, Verdict
+    from .gkm import MomentGraph, PartialSkeleton
+    from .triang import DerivedEquivalenceCertificate, LatticeSimplex, Triangulation
 
 SCHEMA_VERSION = "1"
 
@@ -303,6 +306,8 @@ def element_json(e: CoverElement) -> dict:
 
 
 def cech_json(poset: CechPoset, witness: WitnessReport) -> dict:
+    from .cech import classify
+
     grading = poset.grading()
     histogram: dict[int, int] = {}
     for e in poset.elements:
@@ -352,6 +357,8 @@ def triangulation_json(t: Triangulation) -> dict:
 
 
 def parse_triangulation(data) -> Triangulation:
+    from .triang import LatticeSimplex, Triangulation
+
     doc = _load_json(_text(data))
     if not isinstance(doc, dict):
         raise SchemaError("triangulation document must be a JSON object")

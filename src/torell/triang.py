@@ -149,6 +149,9 @@ class Triangulation:
         for cell in self.cells:
             if len(cell) != dim + 1 or tuple(sorted(cell)) != cell:
                 raise NotUnimodular(f"cell {cell} is not a sorted (dim+1)-tuple")
+            if cell[0] < 0 or cell[-1] >= len(pts):
+                raise NotUnimodular(f"cell {cell} names a point index outside "
+                                    f"0..{len(pts) - 1}")
             base = pts[cell[0]]
             det = determinant(IntMatrix.from_rows(
                 [tuple(pts[i][k] - base[k] for k in range(dim)) for i in cell[1:]]))

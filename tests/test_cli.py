@@ -266,3 +266,48 @@ def test_ladder_on_more_than_sixteen_top_cones_is_refused(tmp_path):
     path = tmp_path / "surface.txt"
     path.write_text(" ".join(f"({x},{y})" for x, y in rays))
     assert_input_error(run_cli("invariant", str(path), "--ladder"), "20 top cones")
+
+
+# Each subcommand loads the layers it calls and no others: the CLI core is
+# fan parsing and report output, the rest is imported by the handler.
+CORE = {"torell", "torell.cli", "torell.errors", "torell.fan", "torell.fan_io",
+        "torell.lattice"}
+LAYERS_LOADED = {
+    ("validate", "p2"): set(),
+    ("invariant", "p2"): {"torell.ellinv"},
+    ("compare", "p2", "p1xp1"): {"torell.ellinv"},
+    ("gkm", "p2"): {"torell.gkm"},
+    ("cech", "p1"): {"torell.cech"},
+    ("flop", "mu2-kernel", "--list"): {"torell.triang"},
+    ("flop", "mu2-kernel", "--apply", "green"): {"torell.ellinv", "torell.triang"},
+    ("mckay-example",): {"torell.triang"},
+    ("--version",): set(),
+    ("validate", "no-such-corpus-fan"): set(),
+}
+
+LOADED_BY_MAIN = """
+import contextlib, io, sys
+import torell.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        torell.cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "torell")))
+"""
+
+
+def torell_modules_after(code, *args):
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          text=True, capture_output=True, check=True)
+    return set(proc.stdout.split())
+
+
+def test_each_command_loads_only_its_layers():
+    for argv, layers in LAYERS_LOADED.items():
+        assert torell_modules_after(LOADED_BY_MAIN, *argv) == CORE | layers, argv
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import sys, torell\nprint(*[m for m in sys.modules if m.split('.')[0] == 'torell'])"
+    assert torell_modules_after(code) == {"torell"}

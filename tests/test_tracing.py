@@ -8,8 +8,8 @@ breaks traced benchmark runs; this test makes that a test failure.
 import importlib.util
 from pathlib import Path
 
-import torell.cli  # noqa: F401  (the tracer wraps every layer, the CLI included)
-from torell import cech
+# The tracer wraps every layer, the CLI included, so each must be loaded.
+from torell import cech, cli, ellinv, gkm, triang  # noqa: F401
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 

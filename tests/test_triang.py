@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -113,6 +114,13 @@ class TestTriangulation:
         s = LatticeSimplex.from_vertices([(0,), (3,)])
         with pytest.raises(NotUnimodular):
             Triangulation(s, ((0, 1), (0, 1), (2, 3)))
+
+    @pytest.mark.parametrize("cell", [(0, 1, 99), (-1, 0, 1)])
+    def test_point_index_outside_the_simplex_rejected(self, cell):
+        # Checked before any indexing: 99 is past the six points, and -1
+        # would otherwise be read as the last point.
+        with pytest.raises(NotUnimodular, match=re.escape(f"cell {cell} names a point index")):
+            Triangulation(TWO_DELTA, (cell,))
 
     def test_fields_are_simplex_and_cells(self):
         assert [f.name for f in dataclasses.fields(Triangulation)] == ["simplex", "cells"]
