@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from .errors import (
     DimensionMismatch,
     DisconnectedStar,
+    NonSquare,
     NotAComplex,
     NotGood,
     NotInvertibleBlock,
@@ -30,7 +31,7 @@ from .errors import (
     WitnessNotFound,
 )
 from .fan import Cone, Fan
-from .lattice import row_reduce
+from .lattice import rational_inverse, row_reduce
 
 LETTERS = ("a", "b", "c")
 
@@ -275,9 +276,6 @@ def poset_witness(poset: CechPoset) -> WitnessReport:
     singulars = [e for e in poset.elements
                  if e.grade == n - 1 and len(e.support) > 1]
     for e in singulars:
-        if len(e.support) != 2:
-            raise WitnessNotFound(f"singular element {e.ray_letters} lies over "
-                                  f"{len(e.support)} charts, not one wall")
         comps = []
         covers = []
         positions = []
@@ -364,12 +362,11 @@ class QMatrix:
     def inverse(self) -> "QMatrix":
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices invert")
-        n = self.rows
-        a, pivots = row_reduce([list(r) + [1 if i == j else 0 for j in range(n)]
-                                for i, r in enumerate(self.entries)])
-        if pivots != list(range(n)):
-            raise NotInvertibleBlock("singular block")
-        return QMatrix(n, n, tuple(tuple(row[n:]) for row in a))
+        try:
+            inverse = rational_inverse(self.entries)
+        except NonSquare:
+            raise NotInvertibleBlock("singular block") from None
+        return QMatrix(self.rows, self.cols, tuple(tuple(row) for row in inverse))
 
 
 @dataclass(frozen=True)

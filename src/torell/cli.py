@@ -20,11 +20,11 @@ from . import __version__, fan as fan_mod, fan_io
 from .errors import ParseError, TorellError
 
 
-def _add_common(parser):
-    parser.add_argument("--corpus", default=None,
-                        help="directory of *.fan.json files overriding the built-in corpus")
-    parser.add_argument("--format", default="json", choices=("json", "text", "dot"),
-                        help="output format (dot applies to gkm only)")
+def _add_common(parser, reads_fans=True, formats=("json", "text")):
+    if reads_fans:
+        parser.add_argument("--corpus", default=None,
+                            help="directory of *.fan.json files overriding the built-in corpus")
+    parser.add_argument("--format", default="json", choices=formats, help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gkm", help="emit the moment graph of a fan")
     p.add_argument("fan")
-    _add_common(p)
+    _add_common(p, formats=("json", "text", "dot"))
 
     p = sub.add_parser("cech", help="cover statistics, poset grading and witnesses")
     p.add_argument("fan")
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list legal flips")
     p.add_argument("--apply", default=None, metavar="ID",
                    help="flip id (index or colour alias) to apply")
-    _add_common(p)
+    _add_common(p, reads_fans=False)
 
     p = sub.add_parser("mckay-example",
                        help="quotient simplex of a finite abelian torus subgroup")
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated weight vectors, e.g. '1/2,1/2,0;1/2,0,1/2'")
     p.add_argument("--rank", type=int, default=None,
                    help="ambient rank (needed for the trivial group)")
-    _add_common(p)
+    _add_common(p, reads_fans=False)
 
     return parser
 

@@ -77,6 +77,40 @@ def _facets(cones: Iterable[Cone]) -> set[Cone]:
     return {c[:i] + c[i + 1:] for c in cones for i in range(len(c))}
 
 
+def facet_sides(cells: Sequence[Cone], dets: Optional[Sequence[int]] = None
+                ) -> tuple[dict[Cone, tuple[Cone, ...]], Optional[tuple[Cone, Cone, Cone]]]:
+    """The cells on each facet of the given cells, in the cells' order, and
+    the least (facet, cell, cell) with both cells on one side of the facet.
+
+    Cells are sorted index tuples of one length, each with the determinant
+    of its points in that order, up to a sign shared by every cell.  Cells
+    meet facet to facet only when the points they hold off a common facet
+    lie strictly on opposite sides of its hyperplane, so the cells on one
+    facet must lie on pairwise different sides: at most two, and two on
+    opposite sides.  Without determinants no side is read and the second
+    result is None.
+
+    The sides need no new elimination: moving the point off a facet from
+    place k of a cell to the end takes len(cell) - 1 - k transpositions, so
+    each side is the sign of the cell's own determinant, flipped when
+    len(cell) - 1 - k is odd.
+    """
+    on: dict[Cone, tuple[Cone, ...]] = {}
+    first_on_side: tuple[dict[Cone, Cone], ...] = ({}, {})   # per side: facet -> cell
+    clashes = []
+    for j, cell in enumerate(cells):
+        for k in range(len(cell)):
+            facet = cell[:k] + cell[k + 1:]
+            on[facet] = on.get(facet, ()) + (cell,)
+            if dets is not None:
+                first = first_on_side[(dets[j] > 0) != ((len(cell) - 1 - k) % 2 == 1)]
+                if facet in first:
+                    clashes.append((facet, first[facet], cell))
+                else:
+                    first[facet] = cell
+    return on, min(clashes, default=None)
+
+
 @dataclass(frozen=True, slots=True)
 class _Incidence:
     """Incidence data of a fan, derived once and shared by every query.
@@ -150,8 +184,6 @@ class Fan:
         object.__setattr__(self, "_incidence", self._derive_incidence(facets, dets))
         if n == 2:
             self._check_plane_cones()
-        elif n >= 3:
-            self._check_walls(dets)
 
     def _check_plane_cones(self):
         """Refuse a 2-cone with a ray of the fan strictly inside it.
@@ -174,30 +206,6 @@ class Fan:
                 raise MalformedFan(
                     f"ray {self.rays[after[first]]} lies inside cone {cone}")
 
-    def _check_walls(self, dets: dict[Cone, int]):
-        """Refuse two top cones on one wall that lie on the same side of it.
-
-        Two top cones on a common wall meet in that wall only when their
-        rays off it lie strictly on opposite sides of its hyperplane, that
-        is, when appending each to the wall's rays, in one order, gives
-        determinants of opposite sign.  This is the local part of the fan
-        axiom: cones that share no wall are not compared.
-
-        Those determinants need no new elimination: moving the ray off the
-        wall from place k of a top cone's sorted rays to the end takes
-        n - 1 - k transpositions, so each sign is the sign of the top cone's
-        own determinant, given in ``dets``, flipped when n - 1 - k is odd.
-        """
-        n = self.ambient_rank
-        for wall, upper in self._incidence.upper.items():
-            if len(upper) != 2:
-                continue
-            sides = [(dets[top] > 0) != ((n - 1 - k) % 2 == 1)
-                     for top in upper for k, i in enumerate(top) if i not in wall]
-            if sides[0] == sides[1]:
-                raise MalformedFan(f"cones {upper[0]} and {upper[1]} lie on the same "
-                                   f"side of their common wall {wall}")
-
     @classmethod
     def from_cones(cls, ambient_rank: int, rays: Iterable[Sequence[int]],
                    cones: Iterable[Sequence[int]]) -> "Fan":
@@ -217,14 +225,16 @@ class Fan:
         maximal = tuple(sorted(c for c in self.cones if c not in facets))
         # No n-cone is a facet, so the top cones are the maximal n-cones.
         tops = tuple(c for c in maximal if len(c) == n)
+        # Rank 1 has two opposite rays at most and in rank 2 the plane check
+        # is the whole fan axiom, so only higher ranks read sides.
+        on, clash = facet_sides(tops, [dets[t] for t in tops] if n >= 3 else None)
+        if clash is not None:
+            wall, first, second = clash
+            raise MalformedFan(f"cones {first} and {second} lie on the same "
+                               f"side of their common wall {wall}")
         # Keyed by the fan's own wall tuples, so no copies are kept, and
         # inserted in sorted order, so walls() need not sort.
-        upper: dict[Cone, tuple[Cone, ...]] = {
-            w: () for w in sorted(c for c in self.cones if len(c) == n - 1)}
-        for top in tops:
-            for i in range(n):
-                wall = top[:i] + top[i + 1:]
-                upper[wall] += (top,)
+        upper = {w: on.get(w, ()) for w in sorted(c for c in self.cones if len(c) == n - 1)}
         smooth = all(abs(d) == 1 for d in dets.values())
         # Good: smooth, and every maximal cone is top-dimensional.
         good = smooth and len(tops) == len(maximal)
@@ -234,12 +244,8 @@ class Fan:
     @cached_property
     def _walls(self) -> tuple[Wall, ...]:
         # Kept apart from _incidence so that validation does no span work.
-        # An exception is not cached, so a wall on three top cones raises
-        # on every access.
         out = []
         for cone, upper in self._incidence.upper.items():
-            if len(upper) > 2:
-                raise MalformedFan(f"wall {cone} lies on {len(upper)} top cones")
             # The rays of a cone of a smooth fan extend to a lattice basis, so
             # they span a saturated sublattice: their Hermite form is its class.
             span = span_class([self.rays[i] for i in cone], self.ambient_rank)

@@ -25,7 +25,7 @@ from .lattice import SublatticeClass, primitive_normal
 if TYPE_CHECKING:
     # Annotations only: parsing and validating fans must not load these layers.
     from .cech import CechPoset, CoverElement, WitnessReport
-    from .ellinv import EllShadow, MayerVietorisLadder, SurfaceIncidence, Verdict
+    from .ellinv import EllShadow, MayerVietorisLadder, Verdict
     from .gkm import MomentGraph, PartialSkeleton
     from .triang import DerivedEquivalenceCertificate, LatticeSimplex, Triangulation
 
@@ -331,11 +331,6 @@ def cech_json(poset: CechPoset, witness: WitnessReport) -> dict:
             ],
         },
     }
-
-
-def incidence_json(inc: SurfaceIncidence) -> dict:
-    return {"m": inc.m, "matrix": [list(r) for r in inc.matrix.entries],
-            "ray_order": [list(r) for r in inc.ray_order]}
 
 
 def simplex_json(s: LatticeSimplex) -> dict:

@@ -57,9 +57,6 @@ class IntMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 
@@ -279,6 +276,22 @@ def row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int
                 a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
         pivots.append(col)
     return a, pivots
+
+
+def rational_inverse(rows: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Exact inverse over Q of the square matrix with the given rows.
+
+    Gauss-Jordan elimination turns [A | I] into [I | A^-1]; a singular
+    matrix raises NonSquare, as ``inverse_unimodular`` does.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise NonSquare("only square matrices invert")
+    a, pivots = row_reduce([list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        raise NonSquare("matrix is singular")
+    return [row[n:] for row in a]
 
 
 def is_primitive(v: Sequence[int]) -> bool:

@@ -30,8 +30,8 @@ from .errors import (
     TooLarge,
     WORK_LIMIT,
 )
-from .fan import Fan
-from .lattice import IntMatrix, determinant, hnf, integer_solver, kernel_basis, row_reduce
+from .fan import Fan, facet_sides
+from .lattice import IntMatrix, determinant, hnf, integer_solver, kernel_basis, rational_inverse
 
 Point = tuple
 
@@ -97,9 +97,7 @@ def _enumerate_points(vertices, dim):
     base = vertices[0]
     # One inverse of the edge matrix gives every candidate's barycentric
     # coordinates; scaled to integers, since only their signs matter.
-    edges = [[v[i] - base[i] for v in vertices[1:]] + [int(i == j) for j in range(dim)]
-             for i in range(dim)]
-    inverse = [row[dim:] for row in row_reduce(edges)[0]]
+    inverse = rational_inverse([[v[i] - base[i] for v in vertices[1:]] for i in range(dim)])
     scale = lcm(*(x.denominator for row in inverse for x in row))
     inverse = [[int(x * scale) for x in row] for row in inverse]
     points, point_facets = [], []
@@ -113,15 +111,6 @@ def _enumerate_points(vertices, dim):
     return tuple(points), tuple(point_facets)
 
 
-def _solve_fractions(rows, rhs):
-    """Solve the square nonsingular rational system given by rows."""
-    n = len(rows)
-    a, pivots = row_reduce([list(rows[i]) + [rhs[i]] for i in range(n)])
-    if pivots != list(range(n)):
-        raise DimensionMismatch("the rational system is singular")
-    return [a[i][n] for i in range(n)]
-
-
 @dataclass(frozen=True)
 class Triangulation:
     """A unimodular triangulation of a lattice simplex using all its points."""
@@ -132,20 +121,17 @@ class Triangulation:
     def __post_init__(self):
         """Check the cells form a unimodular triangulation using every point.
 
-        A facet of a cell must lie on exactly two cells whose remaining
-        points are on opposite sides of it, or on one cell and inside a
-        facet of the simplex.  Then crossing a facet keeps the number of
-        cells over a generic point, so that number is constant on the
-        simplex, and as many cells as the normalized volume make it one.
-
-        The side needs no new elimination: moving the remaining point from
-        place k of a cell to the end takes dim - k transpositions, so up to a
-        sign shared by every cell it is the sign of the cell's own
-        determinant, flipped when dim - k is odd.
+        A facet of a cell must lie on two cells on opposite sides of it
+        (``facet_sides``), or on one cell and inside a facet of the simplex.
+        Then crossing a facet keeps the number of cells over a generic
+        point, so that number is constant on the simplex, and as many cells
+        as the normalized volume make it one.  The determinant of a cell's
+        edges from its first point is that of its points at height one, up
+        to a sign shared by every cell.
         """
         dim = self.simplex.dim
         pts = self.simplex.points
-        sides: dict[tuple[int, ...], list[bool]] = {}
+        dets = []
         for cell in self.cells:
             if len(cell) != dim + 1 or tuple(sorted(cell)) != cell:
                 raise NotUnimodular(f"cell {cell} is not a sorted (dim+1)-tuple")
@@ -157,18 +143,17 @@ class Triangulation:
                 [tuple(pts[i][k] - base[k] for k in range(dim)) for i in cell[1:]]))
             if abs(det) != 1:
                 raise NotUnimodular(f"cell {cell} has normalized volume != 1")
-            for k in range(dim + 1):
-                sides.setdefault(cell[:k] + cell[k + 1:], []).append(
-                    (det > 0) != ((dim - k) % 2 == 1))
+            dets.append(det)
         if len(self.cells) != self.simplex.normalized_volume():
             raise NotUnimodular("cells do not fill the simplex")
         if set().union(*self.cells) != set(range(len(pts))):
             raise NotUnimodular("triangulation must use every lattice point")
-        on = self.simplex.point_facets
-        for facet, side in sides.items():
-            interior = len(side) == 2 and side[0] != side[1]
-            boundary = len(side) == 1 and frozenset.intersection(*(on[i] for i in facet))
-            if not (interior or boundary):
+        on, clash = facet_sides(self.cells, dets)
+        if clash is not None:
+            raise NotUnimodular(f"cells overlap or leave a gap at facet {clash[0]}")
+        boundary = self.simplex.point_facets
+        for facet, cells in on.items():
+            if len(cells) == 1 and not frozenset.intersection(*(boundary[i] for i in facet)):
                 raise NotUnimodular(f"cells overlap or leave a gap at facet {facet}")
 
     def interior_edges(self) -> dict[tuple[int, int], tuple]:
@@ -308,10 +293,12 @@ def quotient_simplex(generators: Iterable[Sequence], rank: Optional[int] = None)
     new_basis = [tuple(sum(transform[j][k] * basis[j][i] for j in range(n))
                        for i in range(n))
                  for k in range(n)]
-    cols = [[new_basis[k][i] for k in range(n)] for i in range(n)]
+    # Vertex i has the coordinates of e_i in the new basis: column i of the
+    # inverse of the matrix whose columns are that basis.
+    inverse = rational_inverse([[new_basis[k][i] for k in range(n)] for i in range(n)])
     vertices = []
     for i in range(n):
-        coords = _solve_fractions(cols, [Fraction(1 if j == i else 0) for j in range(n)])
+        coords = [row[i] for row in inverse]
         if any(c.denominator != 1 for c in coords) or coords[-1] != 1:
             raise NotInSL(f"vertex {i} of the quotient simplex is {coords}, "
                           "not a lattice point at height one")
@@ -330,22 +317,17 @@ def simplices_equivalent(s1: LatticeSimplex, s2: LatticeSimplex) -> bool:
     d = s1.dim
     v1 = s1.vertices
     base1 = v1[0]
-    e1_cols = [[Fraction(v1[j + 1][i] - base1[i]) for j in range(d)] for i in range(d)]
-    cols_t = [[e1_cols[j][k] for j in range(d)] for k in range(d)]
+    # The map sending s1's edges from base1 to an ordering's edges is that
+    # ordering's edge matrix times the inverse of s1's.
+    inverse = rational_inverse([[v[i] - base1[i] for v in v1[1:]] for i in range(d)])
     for perm in permutations(range(d + 1)):
         v2 = [s2.vertices[i] for i in perm]
         base2 = v2[0]
-        rows_a = []
-        integral = True
-        for i in range(d):
-            rhs = [Fraction(v2[k + 1][i] - base2[i]) for k in range(d)]
-            sol = _solve_fractions(cols_t, rhs)
-            if any(x.denominator != 1 for x in sol):
-                integral = False
-                break
-            rows_a.append([int(x) for x in sol])
-        if not integral:
+        rows_a = [[sum((v[i] - base2[i]) * x for v, x in zip(v2[1:], column))
+                   for column in zip(*inverse)] for i in range(d)]
+        if any(x.denominator != 1 for row in rows_a for x in row):
             continue
+        rows_a = [[int(x) for x in row] for row in rows_a]
         if abs(determinant(IntMatrix.from_rows(rows_a))) != 1:
             continue
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from torell.errors import DimensionMismatch, MalformedFan, TorellError
 from torell.fan import Fan, validate
 from torell.fan_io import complete_surface_fan, corpus_names, load_corpus_fan
+from torell.lattice import IntMatrix
 from torell.triang import LatticeSimplex, cone_fan, quotient_simplex, unimodular_triangulations
 
 CORPUS = (
@@ -124,6 +125,25 @@ FLOP_TRIANGLE_GENERATORS = (
     [("1/6", "2/6", "3/6")], [("1/8", "3/8", "4/8")], [("1/9", "2/9", "6/9")],
     [("1/10", "4/10", "5/10")], [("1/11", "2/11", "8/11")],
 )
+
+
+def random_unimodular(rng, n):
+    """A random matrix in GL_n(Z): elementary row operations and a sign."""
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            k = rng.choice((-2, -1, 1, 2))
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    sign = rng.choice((-1, 1))
+    rows[0] = [sign * x for x in rows[0]]
+    return IntMatrix.from_rows(rows)
+
+
+# Three 3-cones on the wall (0, 1): faces meet in faces, but (0, 1, 2) and
+# (0, 1, 4) lie on one side of that wall and overlap.
+THREE_ON_A_WALL = (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1), (0, 1, 1)],
+                   [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
 
 
 def random_lattice_triangles(rng, count):

@@ -10,30 +10,36 @@ derived its walls once; exact point location and rational
 determinants for the fan axiom; the backtracking enumerator of
 unimodular triangulations the library used before it walked flips; and
 the pairwise triangle-overlap check the library used before it checked
-facet incidence.  They are slow but follow the definitions literally, so
+facet incidence; and the one-system-at-a-time rational solves for quotient
+vertices and simplex equivalence the library used before it inverted each
+matrix once.  They are slow but follow the definitions literally, so
 the fast code is checked against them.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
 from torell import ellinv
 from torell.cech import CoverElement, letter_meet
-from torell.errors import DisconnectedStar, MalformedFan, NotGood, TorellError
+from torell.errors import DimensionMismatch, DisconnectedStar, NotGood, NotInSL, TorellError
 from torell.fan import Wall
 from torell.lattice import (
     IntMatrix,
     SublatticeClass,
     _hnf_transform,
+    determinant,
+    hnf,
     integer_rank,
     inverse_unimodular,
     is_unimodular_basis,
     kernel_basis,
+    row_reduce,
     sign_normalized,
     span_class,
 )
-from torell.triang import Triangulation, _orient
+from torell.triang import LatticeSimplex, Triangulation, _height_normalizer, _orient
 
 
 def closed_and_independent(n, rays, cones):
@@ -97,14 +103,16 @@ def rational_determinant(rows):
 
 
 def one_sided_wall(n, rays, cones):
-    """Whether some two n-cones, the only two on a common (n-1)-cone, have
-    their rays off it on the same side of its hyperplane, by scanning every
-    pair of n-cones."""
+    """Whether some two n-cones on a common (n-1)-cone have their rays off
+    it on the same side of its hyperplane, by scanning every pair of
+    n-cones; an (n-1)-cone on three or more n-cones always has two such."""
     tops = [set(c) for c in cones if len(c) == n]
     for t1, t2 in combinations(tops, 2):
         wall = sorted(t1 & t2)
-        if len(wall) != n - 1 or sum(1 for t in tops if set(wall) <= t) != 2:
+        if len(wall) != n - 1:
             continue
+        if sum(1 for t in tops if set(wall) <= t) > 2:
+            return True
         rows = [rays[i] for i in wall]
         (i,), (j,) = t1 - set(wall), t2 - set(wall)
         if ((rational_determinant(rows + [rays[i]]) > 0)
@@ -168,10 +176,7 @@ def walls(fan):
         raise NotGood("walls are only enumerated for good fans")
     out = []
     for cone in fan.cones_of_dim(fan.ambient_rank - 1):
-        upper = wall_upper(fan, cone)
-        if len(upper) > 2:
-            raise MalformedFan(f"wall {cone} lies on {len(upper)} top cones")
-        out.append(Wall(cone=cone, upper=upper,
+        out.append(Wall(cone=cone, upper=wall_upper(fan, cone),
                         span=span_class([fan.rays[i] for i in cone], fan.ambient_rank)))
     return tuple(out)
 
@@ -440,3 +445,65 @@ def unimodular_triangulations(simplex):
     placed_tris = []
     search(pending0, [])
     return tuple(sorted(results, key=lambda t: t.cells))
+
+
+# --- quotient vertices and simplex maps, one rational system at a time -------
+
+def solve_fractions(rows, rhs):
+    """Solve the square nonsingular rational system given by rows."""
+    n = len(rows)
+    a, pivots = row_reduce([list(rows[i]) + [rhs[i]] for i in range(n)])
+    if pivots != list(range(n)):
+        raise DimensionMismatch("the rational system is singular")
+    return [a[i][n] for i in range(n)]
+
+
+def quotient_simplex(generators, rank=None):
+    """The height-one quotient simplex, each vertex solved for on its own
+    in the height-normalized basis of the refined lattice."""
+    gens = [tuple(Fraction(x) for x in g) for g in generators]
+    n = len(gens[0]) if rank is None else rank
+    denom = lcm(1, *(x.denominator for g in gens for x in g))
+    rows = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
+    rows += [[int(x * denom) for x in g] for g in gens]
+    h = hnf(IntMatrix.from_rows(rows)).entries
+    basis = [tuple(Fraction(x, denom) for x in h[i]) for i in range(n)]
+    transform = _height_normalizer([int(sum(b)) for b in basis])
+    new_basis = [tuple(sum(transform[j][k] * basis[j][i] for j in range(n))
+                       for i in range(n))
+                 for k in range(n)]
+    cols = [[new_basis[k][i] for k in range(n)] for i in range(n)]
+    vertices = []
+    for i in range(n):
+        coords = solve_fractions(cols, [Fraction(1 if j == i else 0) for j in range(n)])
+        if any(c.denominator != 1 for c in coords) or coords[-1] != 1:
+            raise NotInSL(f"vertex {i} of the quotient simplex is {coords}")
+        vertices.append(tuple(int(c) for c in coords[:-1]))
+    lows = [min(v[i] for v in vertices) for i in range(n - 1)]
+    return LatticeSimplex.from_vertices(
+        [tuple(v[i] - lows[i] for i in range(n - 1)) for v in vertices])
+
+
+def simplices_equivalent(s1, s2):
+    """Whether a unimodular affine map carries s1 with its points onto s2,
+    solving for the map row by row for every ordering of s2's vertices."""
+    if s1.dim != s2.dim or len(s1.points) != len(s2.points):
+        return False
+    d = s1.dim
+    base1 = s1.vertices[0]
+    cols_t = [[Fraction(s1.vertices[k + 1][j] - base1[j]) for j in range(d)]
+              for k in range(d)]
+    for perm in permutations(range(d + 1)):
+        v2 = [s2.vertices[i] for i in perm]
+        rows_a = [solve_fractions(cols_t, [Fraction(v2[k + 1][i] - v2[0][i]) for k in range(d)])
+                  for i in range(d)]
+        if any(x.denominator != 1 for row in rows_a for x in row):
+            continue
+        rows_a = [[int(x) for x in row] for row in rows_a]
+        if abs(determinant(IntMatrix.from_rows(rows_a))) != 1:
+            continue
+        image = sorted(tuple(sum(rows_a[i][j] * (p[j] - base1[j]) for j in range(d)) + v2[0][i]
+                             for i in range(d)) for p in s1.points)
+        if image == list(s2.points):
+            return True
+    return False

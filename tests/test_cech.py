@@ -406,6 +406,10 @@ class TestReduceComplex:
         with pytest.raises(NotInvertibleBlock):
             reduce_complex(c, 0, ([1], [1]))
 
+    def test_singular_matrix_has_no_inverse(self):
+        with pytest.raises(NotInvertibleBlock):
+            QMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+
     def test_random_suite_preserves_homology(self):
         rng = random.Random(424242)
         checked = 0

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+from conftest import THREE_ON_A_WALL
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -170,6 +172,26 @@ def test_rank_three_cone_inside_another_exits_two(tmp_path):
                                 "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
                                 "cones": [[0, 1, 2], [0, 1, 3]]}))
     assert_input_error(run_cli("invariant", str(path)), str(path), "(0, 1, 3)", "wall (0, 1)")
+
+
+def test_three_cones_on_a_wall_exit_two(tmp_path):
+    n, rays, cones = THREE_ON_A_WALL
+    path = tmp_path / "three.fan.json"
+    path.write_text(json.dumps({"schema_version": "1", "ambient_rank": n,
+                                "rays": [list(r) for r in rays],
+                                "cones": [list(c) for c in cones]}))
+    for command in ("validate", "invariant", "gkm", "cech"):
+        assert_input_error(run_cli(command, str(path)), str(path), "(0, 1, 4)", "wall (0, 1)")
+
+
+def test_options_a_command_does_not_read_exit_two():
+    for argv in (["flop", "mu2-kernel", "--list", "--corpus", "/nonexistent"],
+                 ["mckay-example", "--corpus", "/nonexistent"],
+                 ["validate", "p2", "--format", "dot"],
+                 ["cech", "p1", "--format", "dot"]):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, argv
+        assert "Traceback" not in proc.stderr and not proc.stdout
 
 
 def test_directory_operand_exits_two(tmp_path):

@@ -13,7 +13,13 @@ from torell.fan import Fan, chart, fan_isomorphic, validate, walls
 from torell.lattice import IntMatrix, saturate
 from torell.triang import apply_flip, cone_fan, flips, quotient_simplex, unimodular_triangulations
 
-from conftest import FLOP_TRIANGLE_GENERATORS, blowup_surfaces, random_fan_data, shuffled_fan
+from conftest import (
+    FLOP_TRIANGLE_GENERATORS,
+    THREE_ON_A_WALL,
+    blowup_surfaces,
+    random_fan_data,
+    shuffled_fan,
+)
 
 
 def covers_direction(fan, direction):
@@ -160,14 +166,11 @@ class TestWalls:
             walls(f)
 
     def test_overlapping_tops_detected(self):
-        # Three 3-cones sharing one wall: structurally buildable, but the
-        # wall enumeration must refuse it.
-        f = Fan.from_cones(
-            3,
-            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1), (0, 1, 1)],
-            [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
-        with pytest.raises(MalformedFan):
-            walls(f)
+        # Three 3-cones on one wall: two of them lie on one side of it, so
+        # the fan is refused when it is built.
+        with pytest.raises(MalformedFan, match=r"cones \(0, 1, 2\) and \(0, 1, 4\) lie "
+                                               r"on the same side of their common wall \(0, 1\)"):
+            Fan.from_cones(*THREE_ON_A_WALL)
 
     def test_spans_invariant_under_relabeling(self, corpus_fans):
         rng = random.Random(5)

@@ -1,12 +1,14 @@
 """Integer linear algebra: normal forms, saturation, normals, determinants."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torell.errors import DimensionMismatch, NonSquare, WrongCorank
+import oracles
+from torell.errors import DimensionMismatch, NonSquare, TorellError, WrongCorank
 from torell.lattice import (
     IntMatrix,
     determinant,
@@ -14,6 +16,7 @@ from torell.lattice import (
     is_unimodular_basis,
     kernel_basis,
     primitive_normal,
+    rational_inverse,
     saturate,
     solve_integer,
 )
@@ -181,3 +184,30 @@ class TestSolve:
     def test_unsolvable(self):
         a = IntMatrix.from_rows([[2, 0], [0, 2]])
         assert solve_integer(a, (1, 0)) is None
+
+
+class TestRationalInverse:
+    def test_inverse_times_matrix_is_identity(self):
+        rng = random.Random(12)
+        inverted = 0
+        while inverted < 200:
+            n = rng.randint(1, 5)
+            rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+                    for _ in range(n)]
+            if oracles.rational_determinant(rows) == 0:
+                continue
+            inverse = rational_inverse(rows)
+            identity = [[int(i == j) for j in range(n)] for i in range(n)]
+            for left, right in ((rows, inverse), (inverse, rows)):
+                assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                        for row in left] == identity
+            inverted += 1
+
+    def test_singular_refused(self):
+        for rows in ([[1, 2], [2, 4]], [[0]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+            with pytest.raises(TorellError):
+                rational_inverse(rows)
+
+    def test_non_square_refused(self):
+        with pytest.raises(NonSquare):
+            rational_inverse([[1, 0, 0], [0, 1, 0]])

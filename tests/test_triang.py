@@ -30,7 +30,7 @@ from torell.triang import (
     unimodular_triangulations,
 )
 
-from conftest import FLOP_TRIANGLE_GENERATORS, random_lattice_triangles
+from conftest import FLOP_TRIANGLE_GENERATORS, random_lattice_triangles, random_unimodular
 
 TWO_DELTA = LatticeSimplex.from_vertices([(0, 0), (2, 0), (0, 2)])
 THREE_DELTA = LatticeSimplex.from_vertices([(0, 0), (3, 0), (0, 3)])
@@ -64,6 +64,42 @@ class TestQuotientSimplex:
     def test_string_weights_accepted(self):
         s = quotient_simplex([("1/2", "1/2", "0"), ("1/2", "0", "1/2")])
         assert s == mu2_kernel_simplex()
+
+    def test_one_inverse_equals_vertex_by_vertex_solves(self):
+        # The flops triangles, the built-in and antidiagonal groups, and the
+        # trivial and cyclic groups of the mckay-example command tests.
+        inputs = ([(g, None) for g in FLOP_TRIANGLE_GENERATORS]
+                  + [(mu2_kernel_generators(), None), ([("1/4", "3/4")], None),
+                     ([], 2), ([], 3), ([("1/5", "1/5", "1/5", "2/5")], None)]
+                  + [(antidiagonal_generators(order), None) for order in (2, 3, 4, 5)])
+        for generators, rank in inputs:
+            assert quotient_simplex(generators, rank) == oracles.quotient_simplex(generators, rank)
+
+
+class TestSimplicesEquivalent:
+    @staticmethod
+    def moved(s, rng):
+        """The image of s under a random unimodular map and translation."""
+        m = random_unimodular(rng, s.dim)
+        shift = [rng.randint(-3, 3) for _ in range(s.dim)]
+        return LatticeSimplex.from_vertices(
+            [tuple(x + t for x, t in zip(m.apply(v), shift)) for v in s.vertices])
+
+    def test_agrees_with_row_by_row_solves(self):
+        rng = random.Random(606)
+        triangles = random_lattice_triangles(rng, 60)
+        tetrahedra = [quotient_simplex([("1/5", "1/5", "1/5", "2/5")]),
+                      quotient_simplex([("1/2", "1/2", "0", "0"), ("0", "0", "1/2", "1/2")]),
+                      LatticeSimplex.from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])]
+        verdicts = []
+        for s in triangles + tetrahedra:
+            image = self.moved(s, rng)
+            assert simplices_equivalent(s, image) and oracles.simplices_equivalent(s, image)
+            for other in rng.sample(triangles, 10) + tetrahedra:
+                verdict = simplices_equivalent(s, other)
+                assert verdict == oracles.simplices_equivalent(s, other)
+                verdicts.append(verdict)
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 class TestTriangulation:
