@@ -67,9 +67,18 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
-        ot = other.transpose().entries
-        return IntMatrix(tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                               for row in self.entries))
+        # Row i of the product is the combination of other's rows with the
+        # coefficients in row i of self; zero coefficients add nothing, so a
+        # sparse left factor costs one pass over other's row per nonzero.
+        zero = (0,) * other.cols
+        out = []
+        for row in self.entries:
+            acc = zero
+            for a, other_row in zip(row, other.entries):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, other_row)]
+            out.append(tuple(acc))
+        return IntMatrix(tuple(out))
 
     def apply(self, v: Sequence[int]) -> Vector:
         if len(v) != self.cols:
@@ -88,7 +97,18 @@ def determinant(m: IntMatrix) -> int:
 
 
 def _bareiss(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of the square matrix with the given rows (Bareiss)."""
+    """Determinant of the square matrix with the given rows (Bareiss).
+
+    Step k replaces each entry below and right of the pivot p by
+    (x * p - c * y) // prev, where c is the row's entry in the pivot column,
+    y the pivot row's entry and prev the previous pivot; the division is
+    exact.  When p == prev, a row with c == 0 maps to (x * p) // p = x, so
+    it is skipped.  A pivot equal to -prev is first made equal to prev by
+    negating its row, which negates the determinant; the sign is tracked.
+    Both rules change no value the full update would compute, so the result
+    stays exact, and a sparse matrix whose pivots stay +-1 (a signed
+    permutation, a flip certificate) updates only the rows it must.
+    """
     n = len(rows)
     if n == 0:
         return 1
@@ -104,12 +124,21 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> int:
                     break
             else:
                 return 0
+        if a[k][k] == -prev:
+            a[k] = [-x for x in a[k]]
+            sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[k]
+        skip = p == prev
         for i in range(k + 1, n):
+            row = a[i]
+            c = row[k]
+            if c == 0 and skip:
+                continue
             for j in range(k + 1, n):
-                # Bareiss update; the division is exact.
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+                row[j] = (row[j] * p - c * pivot_row[j]) // prev
+            row[k] = 0
+        prev = p
     return sign * a[n - 1][n - 1]
 
 

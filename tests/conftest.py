@@ -108,6 +108,28 @@ def single_reversal_pairs(rng: random.Random, want: int,
     return pairs
 
 
+def grown_reversal_pair(rng: random.Random, nrays: int) -> tuple[Fan, Fan, tuple]:
+    """A single-ray-reversal pair with nrays rays each: a small pair from
+    ``single_reversal_pairs``, then both fans blown up again and again at
+    the same common top cone, chosen at random among those whose new ray
+    is shortest in the max norm, so that coordinates stay small."""
+    ((fan, flipped, ray),) = single_reversal_pairs(rng, 1)
+    cones = [{frozenset(fan.rays[i] for i in c) for c in fan.top_cones()},
+             {frozenset(flipped.rays[i] for i in c) for c in flipped.top_cones()}]
+    rays = [list(fan.rays), list(flipped.rays)]
+    while len(rays[0]) < nrays:
+        sums = {cone: tuple(map(sum, zip(*cone))) for cone in cones[0] & cones[1]}
+        least = min(max(map(abs, v)) for v in sums.values())
+        cone = rng.choice(sorted((c for c, v in sums.items() if max(map(abs, v)) == least),
+                                 key=sorted))
+        u, w = cone
+        for k in (0, 1):
+            cones[k] -= {cone}
+            cones[k] |= {frozenset((u, sums[cone])), frozenset((sums[cone], w))}
+            rays[k].append(sums[cone])
+    return complete_surface_fan(rays[0]), complete_surface_fan(rays[1]), ray
+
+
 def blowup_surfaces():
     """Blow-ups of the minimal surfaces plus single-ray-reversal pairs."""
     rng = random.Random(2024)
@@ -185,6 +207,40 @@ def random_fan_data(draw, ranks=st.integers(1, 3)):
     new_index = {old: new for new, old in enumerate(used)}
     return (n, [vectors[i] for i in used],
             [[new_index[i] for i in cone] for cone in generators])
+
+
+@st.composite
+def planted_fan_data(draw):
+    """(3, rays, generating cones) of a rank-3 cone set from
+    ``random_fan_data`` with cones planted on a wall (a, b) of one of its
+    3-cones (a, b, c): a second cone (a, b, d), two more cones (a, b, d)
+    and (a, b, e), or a cone (a, b, p) with p a positive combination of a,
+    b and c, inside that cone.  Unplanted draws almost never put two
+    3-cones on one wall, and hardly ever three."""
+    n, rays, cones = draw(random_fan_data(ranks=st.just(3)))
+    hosts = [c for c in cones if len(c) == 3]
+    if not hosts:
+        # Make a 3-cone the host when the draw has none.
+        assume(len(rays) >= 3)
+        hosts = [draw(st.permutations(range(len(rays))))[:3]]
+        cones.append(hosts[0])
+    a, b, c = draw(st.permutations(draw(st.sampled_from(hosts))))
+    kind = draw(st.sampled_from(("second", "third", "inside")))
+    if kind == "inside":
+        weights = draw(st.tuples(*[st.integers(1, 3)] * 3))
+        p = tuple(sum(w * rays[i][k] for w, i in zip(weights, (a, b, c))) for k in range(3))
+        g = gcd(*p)
+        assume(g)
+        new = [tuple(x // g for x in p)]
+    else:
+        vector = st.tuples(*[st.integers(-2, 2)] * 3).filter(lambda v: gcd(*v) == 1)
+        new = [draw(vector) for _ in range(1 if kind == "second" else 2)]
+    rays = list(rays)
+    for v in new:
+        if v not in rays:
+            rays.append(v)
+        cones.append([a, b, rays.index(v)])
+    return n, rays, cones
 
 
 @st.composite

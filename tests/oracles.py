@@ -12,8 +12,10 @@ unimodular triangulations the library used before it walked flips; and
 the pairwise triangle-overlap check the library used before it checked
 facet incidence; and the one-system-at-a-time rational solves for quotient
 vertices and simplex equivalence the library used before it inverted each
-matrix once.  They are slow but follow the definitions literally, so
-the fast code is checked against them.
+matrix once; and the surface flip certificate solved against Hermite forms
+and the dense Bareiss determinant the library used before it walked the
+cycle of top cones and skipped unchanged rows.  They are slow but follow
+the definitions literally, so the fast code is checked against them.
 """
 
 from collections import Counter
@@ -32,6 +34,7 @@ from torell.lattice import (
     determinant,
     hnf,
     integer_rank,
+    integer_solver,
     inverse_unimodular,
     is_unimodular_basis,
     kernel_basis,
@@ -507,3 +510,66 @@ def simplices_equivalent(s1, s2):
         if image == list(s2.points):
             return True
     return False
+
+
+# --- surface flip certificates by Hermite forms, dense Bareiss ---------------
+
+def bareiss(rows):
+    """Determinant by fraction-free Bareiss elimination, every row below the
+    pivot updated at every step."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def matmul(a, b):
+    """The product of two IntMatrix values by the triple loop."""
+    return IntMatrix.from_rows(
+        [[sum(a.entries[i][k] * b.entries[k][j] for k in range(a.cols)) for j in range(b.cols)]
+         for i in range(a.rows)])
+
+
+def flip_certificate(f, g):
+    """An integer M with A_f = A_g M and |det M| = 1 for the incidence
+    matrices ``ellinv.flip_certificate`` uses, every column solved against
+    one Hermite form of A_g and corrected along the Hermite kernels; None
+    when some column has no integer solution."""
+    pair = ellinv._reversed_ray_pair(f, g)
+    v, w = pair if pair is not None else (min(f.rays), min(f.rays))
+    a_f = ellinv.incidence_matrix(f, f.rays.index(v)).matrix
+    a_g = ellinv.incidence_matrix(g, g.rays.index(w)).matrix
+    m = a_f.rows
+    solve = integer_solver(a_g)
+    columns = [solve(a_f.column(j)) for j in range(m)]
+    if any(x is None for x in columns):
+        return None
+    columns = [list(x) for x in columns]
+    (z_f,) = kernel_basis(a_f.entries, m)
+    (z_g,) = kernel_basis(a_g.entries, m)
+    image = [sum(columns[j][i] * z_f[j] for j in range(m)) for i in range(m)]
+    pivot = next(i for i, x in enumerate(z_g) if x)
+    c0, rem = divmod(image[pivot], z_g[pivot])
+    assert rem == 0 and image == [c0 * x for x in z_g]
+    k0 = next(i for i, x in enumerate(z_f) if abs(x) == 1)
+    t = (1 - c0) // z_f[k0]
+    for i in range(m):
+        columns[k0][i] += t * z_g[i]
+    return IntMatrix.from_columns(columns)

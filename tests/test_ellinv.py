@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import oracles
 from torell.ellinv import (
     ISOMORPHIC,
     NOT_ISOMORPHIC,
@@ -26,7 +27,68 @@ from torell.errors import (
 from torell.fan import fan_isomorphic, walls
 from torell.lattice import IntMatrix, determinant
 
-from conftest import single_reversal_pairs
+from conftest import grown_reversal_pair, shuffled_fan, single_reversal_pairs
+
+
+def incidence_pair(f, g):
+    """A_f and A_g as flip_certificate reads them: clockwise from the
+    reversed ray and its negation, or from the least ray of equal ray sets."""
+    gone = set(f.rays) - set(g.rays)
+    v = gone.pop() if gone else min(f.rays)
+    w = tuple(-x for x in v) if v not in g.rays else v
+    return (incidence_matrix(f, f.rays.index(v)).matrix,
+            incidence_matrix(g, g.rays.index(w)).matrix)
+
+
+def arcs(a_g, a, b):
+    """The signed indicators of the clockwise and the counter-clockwise arc
+    from row b to row a of the cycle whose vertices are A_g's rows and
+    whose edges are its columns, by walking it edge by edge; each edge
+    into row u is signed by A_g's entry in row u."""
+    m = a_g.rows
+    rows_of = [[i for i in range(m) if a_g.entries[i][j]] for j in range(m)]
+    first, second = (j for j in range(m) if a_g.entries[b][j])
+    # Clockwise rays are consecutive columns: the arc leaving b clockwise
+    # takes the later of b's two columns.
+    clockwise = second if (first + 1) % m == second else first
+    out = []
+    for column in (clockwise, first + second - clockwise):
+        x, row = [0] * m, b
+        while True:
+            (row,) = (i for i in rows_of[column] if i != row)
+            x[column] = a_g.entries[row][column]
+            if row == a:
+                break
+            (column,) = (j for j in range(m) if a_g.entries[row][j] and j != column)
+        out.append(x)
+    return out
+
+
+def assert_certificate(f, g, branches):
+    """The certificate carries A_g to A_f with |det| = 1 by the oracles;
+    every column but the first is the shorter arc (clockwise on a tie) and
+    the first differs from its arc by a kernel vector.  Counts in branches
+    the columns that take the counter-clockwise arc and the certificates
+    whose first column was corrected."""
+    cert = flip_certificate(f, g)
+    a_f, a_g = incidence_pair(f, g)
+    assert oracles.matmul(a_g, cert) == a_f
+    assert abs(oracles.bareiss(cert.entries)) == 1
+    hermite = oracles.flip_certificate(f, g)
+    assert oracles.matmul(a_g, hermite) == a_f
+    for j in range(a_f.rows):
+        (a,), (b,) = ([i for i in range(a_f.rows) if a_f.entries[i][j] == s] for s in (1, -1))
+        clockwise, counter = arcs(a_g, a, b)
+        shorter = counter if sum(map(abs, counter)) < sum(map(abs, clockwise)) else clockwise
+        column = list(cert.column(j))
+        if j:
+            assert column == shorter
+            branches["counter-clockwise arc"] += shorter is counter
+        else:
+            difference = [x - y for x, y in zip(column, shorter)]
+            assert not any(a_g.apply(difference))
+            branches["corrected first column"] += any(difference)
+    return cert
 
 
 class TestEllShadow:
@@ -222,6 +284,26 @@ class TestFlipCertificate:
     def test_rejects_unrelated_fans(self, corpus_fans):
         with pytest.raises(NotSingleFlip):
             flip_certificate(corpus_fans["p2"], corpus_fans["p1xp1"])
+
+    def test_relabelled_partners_against_the_oracles(self, corpus_fans):
+        # Relabelling reorders the top cones, the rows, so arcs of every
+        # length and kernel corrections other than zero occur.
+        rng = random.Random(909)
+        branches = Counter()
+        pairs = [(f, g) for f, g, _ in single_reversal_pairs(rng, 12)]
+        pairs.append((corpus_fans["ray_reversal_a"], corpus_fans["ray_reversal_b"]))
+        for f, g in pairs:
+            for _ in range(3):
+                assert_certificate(f, shuffled_fan(g, rng), branches)
+                assert_certificate(shuffled_fan(f, rng), g, branches)
+                assert_certificate(f, shuffled_fan(f, rng), branches)
+        assert branches["counter-clockwise arc"] > 0
+        assert branches["corrected first column"] > 0
+
+    def test_surfaces_of_a_hundred_rays(self):
+        f, g, _ = grown_reversal_pair(random.Random(100), 100)
+        assert len(f.rays) == len(g.rays) == 100
+        assert_certificate(f, g, Counter())
 
     def test_random_pairs(self):
         rng = random.Random(808)

@@ -17,6 +17,7 @@ from conftest import (
     FLOP_TRIANGLE_GENERATORS,
     THREE_ON_A_WALL,
     blowup_surfaces,
+    planted_fan_data,
     random_fan_data,
     shuffled_fan,
 )
@@ -120,7 +121,7 @@ class TestWallAxiom:
         assert flipped == 456
 
     @settings(max_examples=300, deadline=None)
-    @given(random_fan_data(ranks=st.just(3)))
+    @given(st.one_of(random_fan_data(ranks=st.just(3)), planted_fan_data()))
     def test_acceptance_is_the_rational_determinant_verdict(self, data):
         n, rays, generators = data
         cones = {face for c in generators for k in range(len(c) + 1)

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from torell import fan as fan_module
 from torell import lattice
-from torell.ellinv import compare, ell_shadow, incidence_matrix, ray_line_classes
+from torell.ellinv import compare, ell_shadow, incidence_matrix
 from torell.errors import MalformedFan, NotGood, RankMismatch
 from torell.fan import Fan, fan_isomorphic, validate, walls
 from torell.lattice import IntMatrix, primitive_normal, saturate, span_class
@@ -19,6 +20,7 @@ from torell.lattice import IntMatrix, primitive_normal, saturate, span_class
 from conftest import (
     THREE_ON_A_WALL,
     blowup_surfaces,
+    planted_fan_data,
     random_fans,
     random_unimodular,
     shuffled_fan,
@@ -134,13 +136,19 @@ class TestValidationAgainstFaceScan:
         # the ranks of maximal cones accepts exactly what checking every
         # face and every cone accepts.
         n = data.draw(st.integers(1, 3))
-        rays = data.draw(st.lists(
-            st.tuples(*[st.integers(-2, 2)] * n).filter(lambda v: gcd(*v) == 1),
-            min_size=1, max_size=6, unique=True))
-        cones = data.draw(st.sets(
-            st.sets(st.integers(0, len(rays) - 1), max_size=n).map(lambda c: tuple(sorted(c))),
-            max_size=12))
-        cones = frozenset(cones | {()} | {(i,) for i in range(len(rays))})
+        if n == 3 and data.draw(st.booleans()):
+            # Closed rank-3 cone sets with cones planted on a wall.
+            _, rays, generators = data.draw(planted_fan_data())
+            cones = frozenset(face for c in generators for k in range(len(c) + 1)
+                              for face in combinations(sorted(c), k))
+        else:
+            rays = data.draw(st.lists(
+                st.tuples(*[st.integers(-2, 2)] * n).filter(lambda v: gcd(*v) == 1),
+                min_size=1, max_size=6, unique=True))
+            cones = data.draw(st.sets(
+                st.sets(st.integers(0, len(rays) - 1), max_size=n).map(lambda c: tuple(sorted(c))),
+                max_size=12))
+            cones = frozenset(cones | {()} | {(i,) for i in range(len(rays))})
         try:
             Fan(n, tuple(rays), cones)
             accepted = True
@@ -202,7 +210,6 @@ class TestCompareAgainstSaturation:
     def test_corpus_pairs(self, corpus_fans):
         pairs = 0
         for fa in corpus_fans.values():
-            assert ray_line_classes(fa) == oracles.ray_line_classes(fa)
             for fb in corpus_fans.values():
                 pairs += 1
                 if fa.ambient_rank != fb.ambient_rank:
@@ -217,7 +224,6 @@ class TestCompareAgainstSaturation:
         fans = blowup_surfaces()
         for fa in fans:
             copy = shuffled_fan(fa, rng)
-            assert ray_line_classes(fa) == oracles.ray_line_classes(fa)
             self.assert_agrees(fa, copy)
             self.assert_agrees(copy, fa)
             for fb in fans:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,8 @@ from torell.lattice import (
     saturate,
     solve_integer,
 )
+
+from conftest import random_unimodular
 
 
 def cofactor_det(rows):
@@ -46,6 +49,31 @@ def row_span_contains(container_rows, vector):
 def same_row_span(rows_a, rows_b):
     return (all(row_span_contains(rows_b, r) for r in rows_a)
             and all(row_span_contains(rows_a, r) for r in rows_b))
+
+
+def signed_permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def triangular_products(draw):
+    """(L U, det) for L unit lower triangular and U upper triangular with
+    diagonal d: the k-th Bareiss pivot is d_0 ... d_k, so it equals the
+    previous pivot where d_k = 1 and minus it where d_k = -1."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.lists(st.sampled_from((-2, -1, -1, 1, 1, 2, 3)), min_size=n, max_size=n))
+    entries = st.integers(-3, 3)
+    low = [[1 if i == j else draw(entries) if j < i else 0 for j in range(n)] for i in range(n)]
+    up = [[d[i] if i == j else draw(entries) if j > i else 0 for j in range(n)] for i in range(n)]
+    rows = [[sum(low[i][k] * up[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return rows, prod(d)
+
+
+sparse_matrices = st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3)), min_size=n, max_size=n),
+    min_size=n, max_size=n))
 
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -88,6 +116,41 @@ class TestDeterminant:
     def test_non_square(self):
         with pytest.raises(NonSquare):
             determinant(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+
+    def assert_exact(self, rows):
+        det = determinant(IntMatrix.from_rows(rows))
+        assert det == oracles.bareiss(rows) == oracles.rational_determinant(rows)
+        return det
+
+    def test_seeded_families_against_the_oracles(self):
+        # Dense, sparse, signed permutations (every pivot +-1) and GL_n(Z)
+        # images of them; also an upper triangular matrix whose pivots are
+        # 2, -2, 2, so the second is made equal to the first by negation.
+        rng = random.Random(4242)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            dense = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            sparse = [[rng.choice((0, 0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+            perm = signed_permutation(rng, n)
+            self.assert_exact(dense)
+            self.assert_exact(sparse)
+            assert abs(self.assert_exact(perm)) == 1
+            unimodular = random_unimodular(rng, n)
+            assert abs(self.assert_exact(unimodular.entries)) == 1
+            assert abs(self.assert_exact((unimodular @ IntMatrix.from_rows(perm)).entries)) == 1
+        assert self.assert_exact([[2, 5, 1], [0, -1, 4], [0, 0, -1]]) == 2
+        assert self.assert_exact([[-1, 3], [2, 1]]) == -7
+
+    @settings(max_examples=100)
+    @given(triangular_products())
+    def test_pivots_equal_to_plus_or_minus_the_previous(self, case):
+        rows, det = case
+        assert self.assert_exact(rows) == det
+
+    @settings(max_examples=100)
+    @given(sparse_matrices)
+    def test_sparse_matrices(self, rows):
+        self.assert_exact(rows)
 
     def test_against_cofactor_expansion(self):
         rng = random.Random(1729)
@@ -211,3 +274,19 @@ class TestRationalInverse:
     def test_non_square_refused(self):
         with pytest.raises(NonSquare):
             rational_inverse([[1, 0, 0], [0, 1, 0]])
+
+
+class TestMatmul:
+    @settings(max_examples=100)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_against_the_triple_loop(self, rows, inner, cols, data):
+        entries = st.sampled_from((0, 0, 0, 1, -1, 2, -7))
+        a = IntMatrix.from_rows(data.draw(st.lists(
+            st.lists(entries, min_size=inner, max_size=inner), min_size=rows, max_size=rows)))
+        b = IntMatrix.from_rows(data.draw(st.lists(
+            st.lists(entries, min_size=cols, max_size=cols), min_size=inner, max_size=inner)))
+        assert a @ b == oracles.matmul(a, b)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            IntMatrix.identity(2) @ IntMatrix.identity(3)
