@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cech": (
-        "CechPoset", "CoverElement", "CubePoset", "FiniteComplex", "WitnessReport",
-        "cech_poset", "classify", "cohomology_witness", "cover", "cube_poset",
-        "poset_witness", "reduce_complex",
+        "CechPoset", "CoverElement", "WitnessReport", "cech_poset", "classify",
+        "cohomology_witness", "cover", "poset_witness",
     ),
     "ellinv": (
         "ISOMORPHIC", "NOT_ISOMORPHIC", "UNKNOWN", "EllShadow", "MayerVietorisLadder",
@@ -30,13 +29,12 @@ _EXPORTS = {
     ),
     "errors": (),
     "fan": (
-        "Fan", "ChartBasis", "FanReport", "Wall", "chart", "fan_isomorphic", "validate",
-        "walls",
+        "Fan", "FanReport", "Wall", "fan_isomorphic", "validate", "walls",
     ),
-    "gkm": ("MomentGraph", "PartialSkeleton", "moment_graph", "partial_skeleton"),
+    "gkm": ("MomentGraph", "moment_graph"),
     "lattice": (
-        "IntMatrix", "SublatticeClass", "determinant", "hnf", "is_unimodular_basis",
-        "primitive_normal", "saturate",
+        "IntMatrix", "SublatticeClass", "determinant", "hnf", "primitive_normal",
+        "saturate",
     ),
     "triang": (
         "DerivedEquivalenceCertificate", "FlipMove", "LatticeSimplex", "Triangulation",

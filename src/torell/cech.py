@@ -7,33 +7,20 @@ curve: it is determined by its support (which charts it touches) together
 with one letter word per chart, and those words are consistent across a
 shared wall under the permutation matching shared rays.
 
-The module also provides a finite-complex reduction utility over exact
-rationals: cancelling an invertible block of a differential against its
-complement preserves homology in every degree.
+The cover and its closure under intersection are listed in closed form, one
+element per cone and letter word on its rays; a fan that would list more
+than WORK_LIMIT elements is refused before any is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    DisconnectedStar,
-    NonSquare,
-    NotAComplex,
-    NotGood,
-    NotInvertibleBlock,
-    TorellError,
-    WitnessNotFound,
-)
+from .errors import WORK_LIMIT, DisconnectedStar, NotGood, TooLarge, TorellError, WitnessNotFound
 from .fan import Cone, Fan
-from .lattice import rational_inverse, row_reduce
-
-LETTERS = ("a", "b", "c")
 
 
 def letter_leq(x: str, y: str) -> bool:
@@ -42,35 +29,6 @@ def letter_leq(x: str, y: str) -> bool:
 
 def letter_meet(x: str, y: str) -> str:
     return x if x == y else "c"
-
-
-@dataclass(frozen=True)
-class CubePoset:
-    """The letter poset on n coordinates, graded by the number of c's."""
-
-    n: int
-    elements: tuple[str, ...]
-
-    def grade(self, word: str) -> int:
-        return word.count("c")
-
-    def leq(self, w1: str, w2: str) -> bool:
-        return all(letter_leq(a, b) for a, b in zip(w1, w2))
-
-    def meet(self, w1: str, w2: str) -> str:
-        return "".join(letter_meet(a, b) for a, b in zip(w1, w2))
-
-    def grading(self) -> dict[int, tuple[str, ...]]:
-        out: dict[int, list[str]] = {k: [] for k in range(self.n + 1)}
-        for w in self.elements:
-            out[self.grade(w)].append(w)
-        return {k: tuple(v) for k, v in out.items()}
-
-
-def cube_poset(n: int) -> CubePoset:
-    if n < 1:
-        raise DimensionMismatch("the letter poset needs at least one coordinate")
-    return CubePoset(n, tuple("".join(w) for w in product(LETTERS, repeat=n)))
 
 
 @dataclass(frozen=True)
@@ -126,12 +84,19 @@ def _elements(fan: Fan, letters: str) -> tuple[CoverElement, ...]:
     - the set of all (rho, w) is closed under meet, since letters meet
       rayswise and rho1 | rho2 is a cone whenever the supports meet.
 
-    So the closure has sum over rho of 2^|rho| elements.  Every cone's star
-    is listed once, from the faces of each top cone, and checked for wall
-    connectivity in the order the faces are first met.
+    So the closure has sum over rho of 2^|rho| elements.  That count is
+    taken from the fan's cones, which in a good fan are the faces of its
+    top cones, and more than WORK_LIMIT elements raise TooLarge before any
+    is listed.  Every cone's star is listed once, from the faces of each
+    top cone, and checked for wall connectivity in the order the faces are
+    first met.
     """
     if not fan.is_good():
         raise NotGood("the distinguished cover is defined for good fans")
+    count = sum(len(letters) ** len(rho) for rho in fan.cones)
+    if count > WORK_LIMIT:
+        raise TooLarge(f"the fan's {len(fan.cones)} cones give {count} elements, "
+                       f"over the limit of {WORK_LIMIT}")
     tops = fan.top_cones()
     stars: dict[Cone, list[int]] = {}
     for i, top in enumerate(tops):
@@ -304,157 +269,3 @@ def poset_witness(poset: CechPoset) -> WitnessReport:
         ))
     return WitnessReport(ambient_rank=n, entries=tuple(entries),
                          singular_count=len(singulars))
-
-
-# --- exact-rational complexes ---------------------------------------------
-
-@dataclass(frozen=True)
-class QMatrix:
-    """Dense matrix over exact rationals with explicit shape."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], ncols: Optional[int] = None) -> "QMatrix":
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if data:
-            ncols = len(data[0])
-            if any(len(r) != ncols for r in data):
-                raise DimensionMismatch("rows of unequal length")
-        elif ncols is None:
-            ncols = 0
-        return cls(len(data), ncols, data)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, tuple(tuple(Fraction(0) for _ in range(cols))
-                                     for _ in range(rows)))
-
-    def mul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch("matrix product shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                row.append(sum((self.entries[i][k] * other.entries[k][j]
-                                for k in range(self.cols)), Fraction(0)))
-            out.append(tuple(row))
-        return QMatrix(self.rows, other.cols, tuple(out))
-
-    def sub(self, other: "QMatrix") -> "QMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix difference shape mismatch")
-        return QMatrix(self.rows, self.cols,
-                       tuple(tuple(a - b for a, b in zip(r1, r2))
-                             for r1, r2 in zip(self.entries, other.entries)))
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "QMatrix":
-        return QMatrix(len(row_idx), len(col_idx),
-                       tuple(tuple(self.entries[i][j] for j in col_idx)
-                             for i in row_idx))
-
-    def rank(self) -> int:
-        return len(row_reduce(self.entries)[1])
-
-    def inverse(self) -> "QMatrix":
-        if self.rows != self.cols:
-            raise DimensionMismatch("only square matrices invert")
-        try:
-            inverse = rational_inverse(self.entries)
-        except NonSquare:
-            raise NotInvertibleBlock("singular block") from None
-        return QMatrix(self.rows, self.cols, tuple(tuple(row) for row in inverse))
-
-
-@dataclass(frozen=True)
-class FiniteComplex:
-    """A bounded complex of Q-vector spaces given by its differentials.
-
-    differentials[k] maps degree k to degree k+1 and has shape
-    (dims[k+1], dims[k]); consecutive differentials must compose to zero.
-    """
-
-    dims: tuple[int, ...]
-    differentials: tuple[QMatrix, ...]
-
-    def __post_init__(self):
-        if len(self.differentials) != max(len(self.dims) - 1, 0):
-            raise NotAComplex("one differential is needed between consecutive terms")
-        for k, d in enumerate(self.differentials):
-            if (d.rows, d.cols) != (self.dims[k + 1], self.dims[k]):
-                raise NotAComplex(f"differential {k} has shape {(d.rows, d.cols)}, "
-                                  f"expected {(self.dims[k + 1], self.dims[k])}")
-        for k in range(len(self.differentials) - 1):
-            composite = self.differentials[k + 1].mul(self.differentials[k])
-            if any(any(x != 0 for x in row) for row in composite.entries):
-                raise NotAComplex(f"d^{k + 1} after d^{k} is nonzero")
-
-    @classmethod
-    def from_matrices(cls, dims: Sequence[int], matrices: Sequence[Sequence[Sequence]]) -> "FiniteComplex":
-        dims = tuple(int(d) for d in dims)
-        diffs = []
-        for k, m in enumerate(matrices):
-            q = QMatrix.from_rows(m, ncols=dims[k])
-            if q.rows == 0:
-                q = QMatrix.zero(dims[k + 1], dims[k])
-            elif q.cols != dims[k]:
-                raise NotAComplex("differential width disagrees with term dimension")
-            diffs.append(q)
-        return cls(dims, tuple(diffs))
-
-    def homology_ranks(self) -> tuple[int, ...]:
-        ranks = [d.rank() for d in self.differentials]
-        out = []
-        for k, dim in enumerate(self.dims):
-            outgoing = ranks[k] if k < len(ranks) else 0
-            incoming = ranks[k - 1] if k >= 1 else 0
-            out.append(dim - outgoing - incoming)
-        return tuple(out)
-
-
-def reduce_complex(c: FiniteComplex, i: int,
-                   splitting: tuple[Sequence[int], Sequence[int]]) -> FiniteComplex:
-    """Cancel an invertible block of d^i against paired summands.
-
-    splitting designates coordinate subsets K of degree i and degree i+1
-    with equal sizes; the block of d^i from K_i to K_{i+1} must be
-    invertible.  The surviving differential in degree i picks up the usual
-    correction term (the Schur complement), and homology ranks are
-    preserved in every degree.
-    """
-    if not 0 <= i < len(c.differentials):
-        raise DimensionMismatch(f"no differential at index {i}")
-    k_i = tuple(sorted(int(x) for x in splitting[0]))
-    k_i1 = tuple(sorted(int(x) for x in splitting[1]))
-    if len(k_i) != len(set(k_i)) or len(k_i1) != len(set(k_i1)):
-        raise DimensionMismatch("repeated indices in splitting")
-    if len(k_i) != len(k_i1):
-        raise DimensionMismatch("split blocks must have equal dimension")
-    if any(not 0 <= x < c.dims[i] for x in k_i) or any(not 0 <= x < c.dims[i + 1] for x in k_i1):
-        raise DimensionMismatch("splitting index out of range")
-    b_i = tuple(j for j in range(c.dims[i]) if j not in set(k_i))
-    b_i1 = tuple(j for j in range(c.dims[i + 1]) if j not in set(k_i1))
-    d = c.differentials[i]
-    sigma = d.submatrix(k_i1, k_i)
-    if sigma.rank() != len(k_i):
-        raise NotInvertibleBlock("designated block of the differential is singular")
-    a = d.submatrix(b_i1, b_i)
-    b = d.submatrix(b_i1, k_i)
-    cc = d.submatrix(k_i1, b_i)
-    psi_i = a.sub(b.mul(sigma.inverse()).mul(cc))
-
-    dims = list(c.dims)
-    dims[i] = len(b_i)
-    dims[i + 1] = len(b_i1)
-    diffs = list(c.differentials)
-    diffs[i] = psi_i
-    if i - 1 >= 0:
-        prev = c.differentials[i - 1]
-        diffs[i - 1] = prev.submatrix(b_i, range(prev.cols))
-    if i + 1 < len(c.differentials):
-        nxt = c.differentials[i + 1]
-        diffs[i + 1] = nxt.submatrix(range(nxt.rows), b_i1)
-    return FiniteComplex(tuple(dims), tuple(diffs))

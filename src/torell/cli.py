@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, fan as fan_mod, fan_io
-from .errors import ParseError, TorellError
+from .errors import ParseError, TooLarge, TorellError
 
 
 def _add_common(parser, reads_fans=True, formats=("json", "text")):
@@ -150,9 +150,8 @@ def _cmd_gkm(args) -> int:
     if args.format == "dot":
         sys.stdout.write(gkm.to_dot(graph))
         return 0
-    skeleton = gkm.partial_skeleton(graph)
     result = {"fan": name, "graph": fan_io.graph_json(graph),
-              "partial_skeleton": fan_io.skeleton_json(skeleton)}
+              "partial_skeleton": fan_io.skeleton_json(graph)}
     lines = [f"{name}: {len(graph.vertices)} fixed points, "
              f"{len(graph.edges)} edges "
              f"({sum(1 for e in graph.edges if e.compact)} compact)"]
@@ -164,7 +163,10 @@ def _cmd_cech(args) -> int:
     from . import cech
 
     f, name, data = fan_io.resolve_fan_argument(args.fan, args.corpus)
-    poset = cech.cech_poset(f)
+    try:
+        poset = cech.cech_poset(f)
+    except TooLarge as exc:
+        raise TooLarge(f"{name}: {exc}") from None
     witness = cech.poset_witness(poset)
     result = {"fan": name, "cover_size": len(poset.cover()),
               **fan_io.cech_json(poset, witness)}

@@ -41,10 +41,6 @@ class NotGood(TorellError):
     """The fan is not good: not smooth, or some cone lies on no top cone."""
 
 
-class NotTopCone(TorellError):
-    """A top-dimensional cone of the fan was required."""
-
-
 class NotUnimodular(TorellError):
     """A unimodular basis / volume-one cell was required."""
 
@@ -80,14 +76,6 @@ class DisconnectedStar(TorellError):
 
 class WitnessNotFound(TorellError):
     """No smooth cover element with the required letter pattern exists."""
-
-
-class NotAComplex(TorellError):
-    """Differentials do not compose to zero."""
-
-
-class NotInvertibleBlock(TorellError):
-    """The designated block of the differential is not invertible."""
 
 
 # --- triangulations -------------------------------------------------------

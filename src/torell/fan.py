@@ -1,4 +1,4 @@
-"""Fans of toric varieties: validation, walls, chart bases, isomorphism.
+"""Fans of toric varieties: validation, walls, isomorphism.
 
 A fan is stored as primitive ray generators plus the set of all its cones,
 each cone a sorted tuple of ray indices (the zero cone is the empty tuple).
@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
-from .errors import MalformedFan, NotGood, NotTopCone, NotUnimodular
+from .errors import WORK_LIMIT, MalformedFan, NotGood, TooLarge
 from .lattice import (
     IntMatrix,
     SublatticeClass,
@@ -44,12 +44,14 @@ from .lattice import (
 Cone = tuple  # sorted tuple of ray indices
 
 
-def _normalize_cone(cone: Sequence[int], nrays: int) -> Cone:
+def _normalize_cone(cone: Sequence[int], nrays: int, rank: int) -> Cone:
     cone = tuple(sorted(int(i) for i in cone))
     if len(set(cone)) != len(cone):
         raise MalformedFan(f"repeated ray index in cone {cone}")
     if cone and (cone[0] < 0 or cone[-1] >= nrays):
         raise MalformedFan(f"ray index out of range in cone {cone}")
+    if len(cone) > rank:
+        raise MalformedFan(f"cone {cone} has too many rays")
     return cone
 
 
@@ -160,10 +162,8 @@ class Fan:
         used = set()
         dets = {}                       # top cone -> its determinant
         for cone in self.cones:
-            if _normalize_cone(cone, len(self.rays)) != cone:
+            if _normalize_cone(cone, len(self.rays), n) != cone:
                 raise MalformedFan(f"cone {cone} is not a sorted index tuple")
-            if len(cone) > n:
-                raise MalformedFan(f"cone {cone} has too many rays")
             used.update(cone)
             for i in range(len(cone)):
                 facet = cone[:i] + cone[i + 1:]
@@ -209,13 +209,27 @@ class Fan:
     @classmethod
     def from_cones(cls, ambient_rank: int, rays: Iterable[Sequence[int]],
                    cones: Iterable[Sequence[int]]) -> "Fan":
-        """Build a fan from generating cones; faces are completed."""
+        """Build a fan from generating cones; faces are completed.
+
+        A cone with more rays than the rank is refused before any face is
+        built.  The faces are closed one facet at a time, each cone once,
+        and a closure of more than WORK_LIMIT cones raises TooLarge as soon
+        as it passes the limit.
+        """
         rays = tuple(tuple(int(x) for x in r) for r in rays)
         closed = {()}
-        for cone in cones:
-            cone = _normalize_cone(cone, len(rays))
-            for k in range(len(cone) + 1):
-                closed.update(combinations(cone, k))
+        closed.update(_normalize_cone(cone, len(rays), ambient_rank) for cone in cones)
+        reached = list(closed)             # grows as it is read
+        for cone in reached:
+            if not cone:
+                continue
+            for facet in combinations(cone, len(cone) - 1):
+                if facet not in closed:
+                    closed.add(facet)
+                    reached.append(facet)
+            if len(closed) > WORK_LIMIT:
+                raise TooLarge(f"the cones and their faces number more than "
+                               f"the limit of {WORK_LIMIT}")
         return cls(ambient_rank, rays, frozenset(closed))
 
     # -- queries ----------------------------------------------------------
@@ -325,19 +339,6 @@ class Wall:
         return self._normal
 
 
-@dataclass(frozen=True)
-class ChartBasis:
-    """The lattice automorphism taking a top cone to the first quadrant.
-
-    The matrix sends the cone's rays, in sorted index order, to the
-    standard basis vectors, and so carries the wall omitting the j-th ray
-    onto the j-th coordinate hyperplane.
-    """
-
-    top_cone: Cone
-    matrix: IntMatrix
-
-
 def validate(fan: Fan) -> FanReport:
     """Classify a structurally valid fan as smooth / good / proper."""
     smooth = fan.is_smooth()
@@ -350,17 +351,6 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
     if not fan.is_good():
         raise NotGood("walls are only enumerated for good fans")
     return fan._walls
-
-
-def chart(fan: Fan, top_cone: Sequence[int]) -> ChartBasis:
-    """The unique chart automorphism for a top cone of a smooth fan."""
-    cone = tuple(sorted(top_cone))
-    if cone not in fan.cones or len(cone) != fan.ambient_rank:
-        raise NotTopCone(f"{cone} is not a top-dimensional cone of the fan")
-    v = fan.ray_matrix(cone)
-    if not v.is_unimodular():
-        raise NotUnimodular(f"rays of {cone} are not a lattice basis")
-    return ChartBasis(top_cone=cone, matrix=inverse_unimodular(v))
 
 
 def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:

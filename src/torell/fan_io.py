@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -26,7 +27,7 @@ if TYPE_CHECKING:
     # Annotations only: parsing and validating fans must not load these layers.
     from .cech import CechPoset, CoverElement, WitnessReport
     from .ellinv import EllShadow, MayerVietorisLadder, Verdict
-    from .gkm import MomentGraph, PartialSkeleton
+    from .gkm import MomentGraph
     from .triang import DerivedEquivalenceCertificate, LatticeSimplex, Triangulation
 
 SCHEMA_VERSION = "1"
@@ -60,6 +61,12 @@ def _load_json(text: str):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays and objects nested too deeply") from None
+    except ValueError:
+        # The one other ValueError: an integer literal too long to convert.
+        raise ParseError(f"invalid JSON: an integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def parse_fan(data) -> Fan:
@@ -183,12 +190,11 @@ def emit_fan(fan: Fan, name: Optional[str] = None, source: Optional[str] = None)
 # --- corpus ----------------------------------------------------------------
 
 def corpus_names(corpus: Optional[str] = None) -> list[str]:
+    """The names of the corpus fans: each file name with its one
+    ``.fan.json`` suffix removed."""
     if corpus is None:
         corpus = os.environ.get(CORPUS_ENV)
-    if corpus is not None:
-        return sorted(p.stem.replace(".fan", "")
-                      for p in Path(corpus).glob("*.fan.json"))
-    root = resources.files("torell").joinpath("corpus")
+    root = resources.files("torell").joinpath("corpus") if corpus is None else Path(corpus)
     return sorted(p.name[:-len(".fan.json")] for p in root.iterdir()
                   if p.name.endswith(".fan.json"))
 
@@ -296,9 +302,13 @@ def graph_json(g: MomentGraph) -> dict:
     }
 
 
-def skeleton_json(s: PartialSkeleton) -> dict:
-    return {"vertex_count": s.vertex_count,
-            "edge_labels": [sublattice_json(c) for c in s.edge_labels]}
+def skeleton_json(g: MomentGraph) -> dict:
+    """The moment graph's partial skeleton, the part the shadow keeps: the
+    vertex count and the sorted multiset of compact-edge isotropy classes,
+    with no incidence."""
+    labels = sorted((e.isotropy for e in g.edges if e.compact), key=lambda s: s.sort_key())
+    return {"vertex_count": len(g.vertices),
+            "edge_labels": [sublattice_json(c) for c in labels]}
 
 
 def element_json(e: CoverElement) -> dict:

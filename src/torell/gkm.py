@@ -1,4 +1,4 @@
-"""Moment graphs of good toric varieties and their partial skeletons.
+"""Moment graphs of good toric varieties.
 
 Vertices are the top-dimensional cones (torus fixed points); every wall
 contributes an edge labelled, up to sign, by the primitive covector cutting
@@ -30,16 +30,6 @@ class MomentGraph:
     edges: tuple[GraphEdge, ...]
 
 
-@dataclass(frozen=True)
-class PartialSkeleton:
-    """What survives of the moment graph in the sheaf-level invariant:
-    the vertex count and the multiset of compact-edge isotropy classes,
-    with no incidence information."""
-
-    vertex_count: int
-    edge_labels: tuple[SublatticeClass, ...]   # sorted multiset
-
-
 def moment_graph(fan: Fan) -> MomentGraph:
     if not fan.is_good():
         raise NotGood("moment graphs are built for good fans")
@@ -55,12 +45,6 @@ def moment_graph(fan: Fan) -> MomentGraph:
             compact=wall.interior,
         ))
     return MomentGraph(ambient_rank=fan.ambient_rank, vertices=tops, edges=tuple(edges))
-
-
-def partial_skeleton(graph: MomentGraph) -> PartialSkeleton:
-    labels = sorted((e.isotropy for e in graph.edges if e.compact),
-                    key=lambda s: s.sort_key())
-    return PartialSkeleton(vertex_count=len(graph.vertices), edge_labels=tuple(labels))
 
 
 def to_dot(graph: MomentGraph) -> str:

@@ -85,9 +85,6 @@ class IntMatrix:
             raise DimensionMismatch("vector length mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(determinant(self)) == 1
-
 
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -258,11 +255,6 @@ def integer_solver(a: IntMatrix) -> Callable[[Sequence[int]], Optional[Vector]]:
     return solve
 
 
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
-    """One integer solution x of A x = b, or None if none exists."""
-    return integer_solver(a)(b)
-
-
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant +-1.
 
@@ -431,10 +423,3 @@ def primitive_normal(s: SublatticeClass) -> Vector:
     if next(x for x in minors if x) < 0:
         g = -g
     return tuple(x // g for x in minors)
-
-
-def is_unimodular_basis(vectors: Sequence[Sequence[int]]) -> bool:
-    """True exactly when the n given vectors in Z^n have determinant +-1."""
-    if not vectors or any(len(v) != len(vectors) for v in vectors):
-        raise DimensionMismatch("need exactly n vectors of dimension n")
-    return abs(_bareiss(vectors)) == 1

@@ -10,7 +10,8 @@ derived its walls once; exact point location and rational
 determinants for the fan axiom; the backtracking enumerator of
 unimodular triangulations the library used before it walked flips; and
 the pairwise triangle-overlap check the library used before it checked
-facet incidence; and the one-system-at-a-time rational solves for quotient
+facet incidence; the three-letter order on the words of one chart, which
+the single-chart Čech poset must reproduce; and the one-system-at-a-time rational solves for quotient
 vertices and simplex equivalence the library used before it inverted each
 matrix once; and the surface flip certificate solved against Hermite forms
 and the dense Bareiss determinant the library used before it walked the
@@ -36,7 +37,6 @@ from torell.lattice import (
     integer_rank,
     integer_solver,
     inverse_unimodular,
-    is_unimodular_basis,
     kernel_basis,
     row_reduce,
     sign_normalized,
@@ -136,7 +136,8 @@ def maximal_cones(fan):
 
 
 def is_smooth(fan):
-    return all(is_unimodular_basis([fan.rays[i] for i in c]) for c in top_cones(fan))
+    return all(abs(determinant(IntMatrix.from_rows([fan.rays[i] for i in c]))) == 1
+               for c in top_cones(fan))
 
 
 def is_good(fan):
@@ -299,6 +300,20 @@ def _star_connected(tops, star):
                 component.add(j)
                 grown = True
     return len(component) == len(star)
+
+
+# The letter order of one chart coordinate: c < a and c < b.
+LETTERS = ("a", "b", "c")
+
+
+def cube_words(n):
+    """Every word of n letters: the elements of the cube poset."""
+    return ["".join(w) for w in product(LETTERS, repeat=n)]
+
+
+def cube_leq(w1, w2):
+    """The cube poset's order, letter by letter."""
+    return all(x == y or x == "c" for x, y in zip(w1, w2))
 
 
 def build_element(tops, letters):

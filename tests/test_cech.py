@@ -1,8 +1,7 @@
-"""Covers, the graded intersection poset, witnesses, complex reduction."""
+"""Covers, the graded intersection poset, witnesses."""
 
 import random
 import re
-from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
@@ -11,23 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from torell.cech import (
-    FiniteComplex,
-    QMatrix,
-    cech_poset,
-    classify,
-    cohomology_witness,
-    cover,
-    cube_poset,
-    poset_witness,
-    reduce_complex,
-)
-from torell.errors import (
-    DisconnectedStar,
-    NotAComplex,
-    NotGood,
-    NotInvertibleBlock,
-)
+from torell import cech
+from torell.cech import cech_poset, classify, cohomology_witness, cover, poset_witness
+from torell.errors import DisconnectedStar, NotGood, TooLarge
 from torell.fan import Fan
 from torell.fan_io import complete_surface_fan
 
@@ -46,6 +31,12 @@ def projective_line_power(n):
     return Fan.from_cones(n, rays, cones)
 
 
+def affine_space(n):
+    """The affine n-chart fan: one top cone on the standard basis."""
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return Fan.from_cones(n, rays, [range(n)])
+
+
 @st.composite
 def orthant_fans(draw):
     """Unions of coordinate orthants in rank 1 to 3: good fans, some with a
@@ -59,28 +50,32 @@ def orthant_fans(draw):
 
 
 class TestCubePoset:
+    """The Čech poset of the affine n-chart fan is the cube poset: one
+    element per word of n letters, graded by its c's."""
+
     def test_single_coordinate(self):
-        p = cube_poset(1)
-        assert set(p.elements) == {"a", "b", "c"}
-        assert p.leq("c", "a") and p.leq("c", "b")
-        assert not p.leq("a", "b") and not p.leq("a", "c")
-        assert p.meet("a", "b") == "c"
+        poset = cech_poset(affine_space(1))
+        word = {e.words[0]: e for e in poset.elements}
+        assert set(word) == {"a", "b", "c"}
+        assert poset.leq(word["c"], word["a"]) and poset.leq(word["c"], word["b"])
+        assert not poset.leq(word["a"], word["b"]) and not poset.leq(word["a"], word["c"])
+        assert poset.meet(word["a"], word["b"]) == word["c"]
 
     def test_counts_up_to_six(self):
         for n in range(1, 7):
-            p = cube_poset(n)
-            assert len(p.elements) == 3 ** n
-            grading = p.grading()
+            poset = cech_poset(affine_space(n))
+            assert len(poset.elements) == 3 ** n
+            grading = poset.grading()
             for k in range(n + 1):
                 assert len(grading[k]) == comb(n, k) * 2 ** (n - k)
 
     def test_order_matches_containment_semantics(self):
         # c-letters denote smaller opens, so meets decrease in the order.
-        p = cube_poset(2)
-        for w1 in p.elements:
-            for w2 in p.elements:
-                m = p.meet(w1, w2)
-                assert p.leq(m, w1) and p.leq(m, w2)
+        poset = cech_poset(affine_space(2))
+        for e1 in poset.elements:
+            for e2 in poset.elements:
+                m = poset.meet(e1, e2)
+                assert poset.leq(m, e1) and poset.leq(m, e2)
 
 
 class TestCover:
@@ -194,18 +189,17 @@ class TestCechPoset:
     def test_single_chart_matches_cube_poset(self, corpus_fans):
         for name, n in (("affine1", 1), ("affine2", 2), ("affine3", 3)):
             poset = cech_poset(corpus_fans[name])
-            cube = cube_poset(n)
-            assert sorted(e.words[0] for e in poset.elements) == sorted(cube.elements)
+            assert sorted(e.words[0] for e in poset.elements) == oracles.cube_words(n)
             for e1 in poset.elements:
                 for e2 in poset.elements:
-                    assert poset.leq(e1, e2) == cube.leq(e1.words[0], e2.words[0])
+                    assert poset.leq(e1, e2) == oracles.cube_leq(e1.words[0], e2.words[0])
 
     def test_trace_on_each_chart_is_the_full_letter_poset(self, corpus_fans):
         # The defining property of the index poset: its trace on any chart
         # is the whole three-letter poset, each word exactly once.
         for name, fan in corpus_fans.items():
             n = fan.ambient_rank
-            expected = sorted(cube_poset(n).elements)
+            expected = oracles.cube_words(n)
             poset = cech_poset(fan)
             for cid in range(len(fan.top_cones())):
                 words = sorted(e.word_for(cid) for e in poset.elements
@@ -352,124 +346,24 @@ class TestWitness:
             assert poset_witness(poset) == cohomology_witness(fan)
 
 
-def nerve_complex(num_opens):
-    """Index-level Cech complex of a cover: one slot per intersection."""
-    levels = [list(combinations(range(num_opens), k))
-              for k in range(1, num_opens + 1)]
-    dims = [len(level) for level in levels]
-    mats = []
-    for k in range(len(levels) - 1):
-        src, tgt = levels[k], levels[k + 1]
-        rows = []
-        for upper in tgt:
-            row = [0] * len(src)
-            for pos in range(len(upper)):
-                face = upper[:pos] + upper[pos + 1:]
-                row[src.index(face)] = (-1) ** pos
-            rows.append(row)
-        mats.append(rows)
-    return FiniteComplex.from_matrices(dims, mats), levels
+class TestWorkLimit:
+    def test_poset_over_the_limit_is_refused_before_listing(self, monkeypatch):
+        # (P^1)^7 has 3^7 cones and 5^7 = 78,125 poset elements, more than
+        # WORK_LIMIT; its cover has one element per cone and stays listed.
+        fan = projective_line_power(7)
+        assert len(cover(fan)) == 3 ** 7
 
+        def listed(*args):
+            raise AssertionError("a star was listed before the refusal")
 
-class TestReduceComplex:
-    def test_identity_pair_cancels_to_zero(self):
-        c = FiniteComplex.from_matrices([1, 1], [[[1]]])
-        reduced = reduce_complex(c, 0, ([0], [0]))
-        assert reduced.dims == (0, 0)
-        assert reduced.homology_ranks() == (0, 0)
+        monkeypatch.setattr(cech, "_check_star_connected", listed)
+        with pytest.raises(TooLarge, match="78125 elements"):
+            cech_poset(fan)
 
-    def test_four_chart_nerve_colour_cancellation(self):
-        # The product cover of the square of the curve has four opens; the
-        # doubled-letter slots cancel in matched pairs, leaving the small
-        # model with term sizes 4, 4, 1.
-        c, levels = nerve_complex(4)
-        assert c.dims == (4, 6, 4, 1)
-        assert c.homology_ranks() == (1, 0, 0, 0)
-        # pair (0,3) with triple (0,1,3)
-        c = reduce_complex(c, 1, ([levels[1].index((0, 3))],
-                                  [levels[2].index((0, 1, 3))]))
-        assert c.homology_ranks() == (1, 0, 0, 0)
-        # pair (1,2) with triple (0,1,2), at their shifted positions
-        c = reduce_complex(c, 1, ([2], [0]))
-        assert c.homology_ranks() == (1, 0, 0, 0)
-        # triple (0,2,3) with the quadruple
-        c = reduce_complex(c, 2, ([0], [0]))
-        assert c.dims == (4, 4, 1, 0)
-        assert c.homology_ranks() == (1, 0, 0, 0)
-
-    def test_not_a_complex_detected(self):
-        with pytest.raises(NotAComplex):
-            FiniteComplex.from_matrices([1, 1, 1], [[[1]], [[1]]])
-
-    def test_singular_block_rejected(self):
-        c = FiniteComplex.from_matrices([2, 2], [[[1, 0], [0, 0]]])
-        with pytest.raises(NotInvertibleBlock):
-            reduce_complex(c, 0, ([1], [1]))
-
-    def test_singular_matrix_has_no_inverse(self):
-        with pytest.raises(NotInvertibleBlock):
-            QMatrix.from_rows([[1, 2], [2, 4]]).inverse()
-
-    def test_random_suite_preserves_homology(self):
-        rng = random.Random(424242)
-        checked = 0
-        while checked < 60:
-            c, planted = random_complex_with_unit_block(rng)
-            if c is None:
-                continue
-            i, position = planted
-            before = c.homology_ranks()
-            reduced = reduce_complex(c, i, ([position[1]], [position[0]]))
-            assert reduced.homology_ranks() == before
-            checked += 1
-
-
-def random_complex_with_unit_block(rng):
-    """A random exact-rational complex plus a designated invertible entry.
-
-    Built as a sum of identity pairs and homology slots, then conjugated by
-    random invertible changes of basis so the planted structure is hidden.
-    """
-    length = rng.randint(2, 4)
-    pairs = [rng.randint(0, 2) for _ in range(length - 1)]
-    hom = [rng.randint(0, 2) for _ in range(length)]
-
-    def starts(k):
-        return pairs[k] if k < length - 1 else 0
-
-    def ends(k):
-        return pairs[k - 1] if k > 0 else 0
-
-    # degree-k layout: homology slots, then start slots, then end slots;
-    # d_k carries start slot t of degree k to end slot t of degree k+1.
-    dims = [hom[k] + starts(k) + ends(k) for k in range(length)]
-    mats = []
-    for k in range(length - 1):
-        rows = [[0] * dims[k] for _ in range(dims[k + 1])]
-        for t in range(pairs[k]):
-            rows[hom[k + 1] + starts(k + 1) + t][hom[k] + t] = 1
-        mats.append(rows)
-    # conjugate by random invertible rational matrices
-    qs = []
-    for dim in dims:
-        while True:
-            q = QMatrix.from_rows(
-                [[Fraction(rng.randint(-2, 2)) for _ in range(dim)]
-                 for _ in range(dim)], ncols=dim)
-            if dim == 0 or q.rank() == dim:
-                qs.append(q)
-                break
-    diffs = []
-    for k in range(length - 1):
-        d = QMatrix.from_rows(mats[k], ncols=dims[k])
-        diffs.append(qs[k + 1].mul(d).mul(qs[k].inverse()))
-    c = FiniteComplex(tuple(dims), tuple(diffs))
-    candidates = [(k, (r, col))
-                  for k, d in enumerate(c.differentials)
-                  for r in range(d.rows)
-                  for col in range(d.cols)
-                  if d.entries[r][col] != 0]
-    if not candidates:
-        return None, None
-    i, position = rng.choice(candidates)
-    return c, (i, position)
+    def test_a_poset_of_exactly_the_limit_is_listed(self, monkeypatch, p1):
+        monkeypatch.setattr(cech, "WORK_LIMIT", 5)     # p1's poset has 5 elements
+        assert len(cech_poset(p1).elements) == 5
+        monkeypatch.setattr(cech, "WORK_LIMIT", 4)
+        with pytest.raises(TooLarge):
+            cech_poset(p1)
+        assert len(cover(p1)) == 3

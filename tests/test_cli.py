@@ -220,6 +220,44 @@ def test_boolean_coordinates_exit_two(tmp_path):
     assert_input_error(run_cli("validate", str(path)), str(path), "rays[0]")
 
 
+def test_deeply_nested_json_exits_two(tmp_path):
+    path = tmp_path / "deep.fan.json"
+    path.write_text('{"a":' * 100_000)
+    assert_input_error(run_cli("validate", str(path)), str(path), "nested too deeply")
+
+
+def test_integer_too_long_to_read_exits_two(tmp_path):
+    path = tmp_path / "long.fan.json"
+    path.write_text('{"schema_version": "1", "ambient_rank": 2, "rays": [[' + "9" * 5000
+                    + ', 1], [0, 1]], "cones": [[0, 1]]}')
+    assert_input_error(run_cli("validate", str(path)), str(path), "digits")
+
+
+def affine_space_document(n):
+    return {"schema_version": "1", "ambient_rank": n,
+            "rays": [[int(i == j) for j in range(n)] for i in range(n)],
+            "cones": [list(range(n))]}
+
+
+def test_face_closure_over_the_limit_exits_two(tmp_path):
+    # Affine 17-space lists one cone with 2^17 faces.
+    path = tmp_path / "affine17.fan.json"
+    path.write_text(json.dumps(affine_space_document(17)))
+    assert_input_error(run_cli("validate", str(path)), str(path), "65536")
+
+
+def test_cech_poset_over_the_limit_exits_two(tmp_path):
+    # (P^1)^7: 3^7 cones, whose poset would list 5^7 elements.
+    n = 7
+    rays = [[s * int(i == j) for j in range(n)] for i in range(n) for s in (1, -1)]
+    cones = [[2 * i + (k >> i & 1) for i in range(n)] for k in range(2 ** n)]
+    path = tmp_path / "p1-7.fan.json"
+    path.write_text(json.dumps({"schema_version": "1", "ambient_rank": n,
+                                "rays": rays, "cones": cones}))
+    assert run_cli("validate", str(path)).returncode == 0
+    assert_input_error(run_cli("cech", str(path)), str(path), "78125 elements")
+
+
 def test_cech_report_matches_separate_cover_and_witness():
     from torell.cech import cech_poset, cohomology_witness, cover
     from torell.fan_io import cech_json, load_corpus_fan

@@ -1,4 +1,4 @@
-"""Fans: validation flags, walls, charts, isomorphism search."""
+"""Fans: validation flags, walls, the chart of the isomorphism walk, isomorphism search."""
 
 import random
 from itertools import combinations, product
@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from torell.errors import MalformedFan, NotGood, NotTopCone
-from torell.fan import Fan, chart, fan_isomorphic, validate, walls
-from torell.lattice import IntMatrix, saturate
+from torell import fan as fan_mod
+from torell.errors import MalformedFan, NotGood, TooLarge
+from torell.fan import Fan, fan_isomorphic, validate, walls
+from torell.lattice import IntMatrix, determinant, saturate
 from torell.triang import apply_flip, cone_fan, flips, quotient_simplex, unimodular_triangulations
 
 from conftest import (
@@ -65,6 +66,25 @@ class TestValidate:
             Fan.from_cones(2, [(1, 0), (-1, 0)], [(0, 1)])     # dependent rays
         with pytest.raises(MalformedFan):
             Fan.from_cones(2, [(1, 0), (0, 1)], [(0, 2)])      # bad index
+        with pytest.raises(MalformedFan, match="too many rays"):
+            # Refused before any face is built: closing first builds 2^40.
+            Fan.from_cones(2, [(1, k) for k in range(40)], [range(40)])
+
+
+class TestFaceClosure:
+    def test_closure_over_the_limit_refused(self):
+        # Affine 17-space has 2^17 cones, more than WORK_LIMIT.
+        rays = [tuple(int(i == j) for j in range(17)) for i in range(17)]
+        with pytest.raises(TooLarge):
+            Fan.from_cones(17, rays, [range(17)])
+
+    def test_a_closure_of_exactly_the_limit_is_built(self, monkeypatch, corpus_fans):
+        fan = corpus_fans["affine3"]                   # 8 cones
+        monkeypatch.setattr(fan_mod, "WORK_LIMIT", 8)
+        assert Fan.from_cones(3, fan.rays, fan.maximal_cones()) == fan
+        monkeypatch.setattr(fan_mod, "WORK_LIMIT", 7)
+        with pytest.raises(TooLarge):
+            Fan.from_cones(3, fan.rays, fan.maximal_cones())
 
 
 class TestPlaneFanAxiom:
@@ -183,28 +203,44 @@ class TestWalls:
 
 
 class TestChart:
-    def test_first_quadrant_identity(self, corpus_fans):
-        ch = chart(corpus_fans["affine2"], (0, 1))
-        assert ch.matrix == IntMatrix.identity(2)
+    """The isomorphism walk's chart: the inverse of its first top cone's ray
+    matrix, and the other rays in that chart's coordinates."""
 
-    def test_projective_plane_chart(self, p2):
-        ch = chart(p2, (1, 2))  # rays (0,1) and (-1,-1) in sorted order
-        assert ch.matrix.apply((0, 1)) == (1, 0)
-        assert ch.matrix.apply((-1, -1)) == (0, 1)
+    def test_first_quadrant_identity(self, corpus_fans):
+        sigma0, vinv, steps = corpus_fans["affine2"]._isomorphism_walk
+        assert sigma0 == (0, 1) and vinv == IntMatrix.identity(2) and steps == ()
+
+    def test_projective_plane_chart(self):
+        # P^2 with rays listed so that the first top cone is (0,1), (-1,-1).
+        fan = Fan.from_cones(2, [(0, 1), (-1, -1), (1, 0)], [(0, 1), (1, 2), (0, 2)])
+        sigma0, vinv, steps = fan._isomorphism_walk
+        assert sigma0 == (0, 1)
+        assert vinv.apply((0, 1)) == (1, 0)
+        assert vinv.apply((-1, -1)) == (0, 1)
+        # (1, 0) = -(0, 1) - (-1, -1); the first step adds it.
+        assert steps[0][1] == ((2, (-1, -1)),)
 
     def test_round_trip_on_corpus(self, corpus_fans):
         for fan in corpus_fans.values():
             n = fan.ambient_rank
-            for cone in fan.top_cones():
-                ch = chart(fan, cone)
-                assert ch.matrix.is_unimodular()
-                for j, i in enumerate(cone):
-                    expected = tuple(1 if k == j else 0 for k in range(n))
-                    assert ch.matrix.apply(fan.rays[i]) == expected
+            sigma0, vinv, steps = fan._isomorphism_walk
+            assert abs(determinant(vinv)) == 1
+            for j, i in enumerate(sigma0):
+                expected = tuple(1 if k == j else 0 for k in range(n))
+                assert vinv.apply(fan.rays[i]) == expected
+            basis = fan.ray_matrix(sigma0)
+            for _, new in steps:
+                for i, coordinates in new:
+                    assert basis.apply(coordinates) == fan.rays[i]
 
-    def test_not_top_cone(self, p2):
-        with pytest.raises(NotTopCone):
-            chart(p2, (0,))
+    def test_not_top_cone(self, corpus_fans):
+        # Charts are taken only of top cones: the walk visits each top cone
+        # once, and every ray once.
+        for fan in corpus_fans.values():
+            sigma0, _, steps = fan._isomorphism_walk
+            assert sorted([sigma0] + [top for top, _ in steps]) == list(fan.top_cones())
+            assert sorted([*sigma0, *(i for _, new in steps for i, _ in new)]) == \
+                list(range(len(fan.rays)))
 
 
 class TestFanIsomorphic:

@@ -10,6 +10,7 @@ from torell.errors import MalformedFan, ParseError, SchemaError
 from torell.fan_io import (
     complete_surface_fan,
     corpus_bytes,
+    corpus_names,
     emit_fan,
     fan_to_document,
     load_corpus_fan,
@@ -155,3 +156,13 @@ def test_report_envelope_is_deterministic(p2):
 def test_document_lists_maximal_cones_only(p2):
     doc = fan_to_document(p2)
     assert sorted(doc["cones"]) == [[0, 1], [0, 2], [1, 2]]
+
+
+def test_corpus_names_strip_one_suffix(tmp_path):
+    for stem in ("p2", "p2.fanout", "x.fan"):
+        (tmp_path / f"{stem}.fan.json").write_text(emit_fan(load_corpus_fan("p2")))
+    (tmp_path / "notes.json").write_text("{}")
+    names = corpus_names(str(tmp_path))
+    assert names == ["p2", "p2.fanout", "x.fan"]
+    for name in names:
+        assert corpus_bytes(name, str(tmp_path)) == (tmp_path / f"{name}.fan.json").read_bytes()

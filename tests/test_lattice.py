@@ -14,12 +14,11 @@ from torell.lattice import (
     IntMatrix,
     determinant,
     hnf,
-    is_unimodular_basis,
+    integer_solver,
     kernel_basis,
     primitive_normal,
     rational_inverse,
     saturate,
-    solve_integer,
 )
 
 from conftest import random_unimodular
@@ -43,7 +42,7 @@ def row_span_contains(container_rows, vector):
     if not container_rows:
         return not any(vector)
     mat = IntMatrix.from_rows(container_rows).transpose()
-    return solve_integer(mat, vector) is not None
+    return integer_solver(mat)(vector) is not None
 
 
 def same_row_span(rows_a, rows_b):
@@ -220,14 +219,20 @@ class TestPrimitiveNormal:
 
 
 class TestUnimodularBasis:
+    """n vectors in Z^n are a lattice basis exactly when their determinant
+    is +-1."""
+
     def test_examples(self):
-        assert is_unimodular_basis([(1, 0), (0, 1)])
-        assert not is_unimodular_basis([(1, 0), (1, 2)])
-        assert is_unimodular_basis([(0, 1), (-1, -1)])
+        def is_basis(rows):
+            return abs(determinant(IntMatrix.from_rows(rows))) == 1
+
+        assert is_basis([(1, 0), (0, 1)])
+        assert not is_basis([(1, 0), (1, 2)])
+        assert is_basis([(0, 1), (-1, -1)])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            is_unimodular_basis([(1, 0)])
+        with pytest.raises(NonSquare):
+            determinant(IntMatrix.from_rows([(1, 0)]))
 
 
 class TestSolve:
@@ -240,13 +245,13 @@ class TestSolve:
                 [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
             x = [rng.randint(-4, 4) for _ in range(cols)]
             b = a.apply(x)
-            solved = solve_integer(a, b)
+            solved = integer_solver(a)(b)
             assert solved is not None
             assert a.apply(solved) == b
 
     def test_unsolvable(self):
         a = IntMatrix.from_rows([[2, 0], [0, 2]])
-        assert solve_integer(a, (1, 0)) is None
+        assert integer_solver(a)((1, 0)) is None
 
 
 class TestRationalInverse:
