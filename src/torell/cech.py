@@ -54,15 +54,29 @@ class CoverElement:
         return (self.grade, self.support, self.words)
 
 
-def _check_star_connected(tops: Sequence[Cone], star: Sequence[int], rho: Cone):
+def _neighbours(fan: Fan) -> list[tuple[tuple[int, int], ...]]:
+    """For each top cone, a (ray, id) pair per top cone across one of its
+    walls: the ray the wall misses and the other top cone's id."""
+    tops, upper = fan.top_cones(), fan._incidence.upper
+    place = {top: i for i, top in enumerate(tops)}
+    return [tuple((ray, place[other]) for k, ray in enumerate(top)
+                  for other in upper[top[:k] + top[k + 1:]] if other != top)
+            for top in tops]
+
+
+def _check_star_connected(neighbours: Sequence[tuple[tuple[int, int], ...]],
+                          star: Sequence[int], rho: Cone):
     """The spreading recipe propagates across shared walls, so the star of
-    the seed cone must be connected through them."""
-    n = len(tops[0])
+    the seed cone must be connected through them.
+
+    Two top cones of the star that share a wall hold rho in that wall, so
+    the walk crosses only walls that miss a ray outside rho: at most n
+    walls per top cone of the star.
+    """
     seen, frontier = {star[0]}, [star[0]]
     while frontier:
-        cur = frontier.pop()
-        for other in star:
-            if other not in seen and len(set(tops[cur]) & set(tops[other])) == n - 1:
+        for ray, other in neighbours[frontier.pop()]:
+            if other not in seen and ray not in rho:
                 seen.add(other)
                 frontier.append(other)
     if len(seen) != len(star):
@@ -103,10 +117,11 @@ def _elements(fan: Fan, letters: str) -> tuple[CoverElement, ...]:
         for keep in product((False, True), repeat=len(top)):
             face = tuple(r for r, k in zip(top, keep) if k)
             stars.setdefault(face, []).append(i)
+    neighbours = _neighbours(fan)
     out = []
     for rho, star in stars.items():
         support = tuple(star)
-        _check_star_connected(tops, support, rho)
+        _check_star_connected(neighbours, support, rho)
         for word in product(letters, repeat=len(rho)):
             of_ray = dict(zip(rho, word))
             out.append(CoverElement(

@@ -6,6 +6,12 @@ underlying sheaves to be isomorphic; for good surfaces a span-preserving
 bijection of all rays is also sufficient, and the sufficiency is certified
 by an explicit row-transformation matrix between incidence matrices.
 
+The shadow and the comparison read structure each fan derives once: the
+shadow takes the fan's interior wall spans, already sorted, and the
+surface rule pairs rays through the fan's rays grouped by line: each
+ray's line, sorted, with the ray indices in that order.  Each call still
+builds its own shadow, divisor and verdict.
+
 The signed top-cone by ray incidence matrix of a proper good surface is
 that of an m-cycle: each ray lies on two top cones, and consecutive rays
 span one.  Its integer column span is the sum-zero lattice, so every
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, groupby
+from operator import attrgetter
 from typing import Optional
 
 from .errors import (
@@ -31,12 +38,11 @@ from .errors import (
     TooLarge,
     WORK_LIMIT,
 )
-from .fan import Fan, ccw_order, walls
+from .fan import Fan, ccw_order
 from .lattice import (
     IntMatrix,
     SublatticeClass,
     determinant,
-    sign_normalized,
     span_class,
 )
 
@@ -71,15 +77,18 @@ class EllShadow:
 def ell_shadow(fan: Fan) -> EllShadow:
     if not fan.is_good():
         raise NotGood("the shadow invariant is defined for good fans")
-    spans = tuple(sorted((w.span for w in walls(fan) if w.interior),
-                         key=lambda s: s.sort_key()))
-    # Equal classes are adjacent in the sorted spans.
-    divisor = tuple((-sum(1 for _ in run), cls) for cls, run in groupby(spans))
+    spans = fan._interior_spans
+    # Equal classes are adjacent in the sorted spans; they share ambient
+    # rank, so equal bases mark them.
+    divisor = []
+    for _, run in groupby(spans, key=attrgetter("basis")):
+        run = tuple(run)
+        divisor.append((-len(run), run[0]))
     return EllShadow(
         ambient_rank=fan.ambient_rank,
         rank=len(fan.top_cones()),
         wall_spans=spans,
-        det_divisor=divisor,
+        det_divisor=tuple(divisor),
     )
 
 
@@ -141,19 +150,6 @@ class Verdict:
     rule: str
 
 
-def _lines(fan: Fan) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """The rays grouped by the line they span.
-
-    A fan's rays are primitive, so the line of a ray is the basis of its
-    saturation: the ray itself, sign-normalised.  Ordering lines by that
-    vector is ordering their classes by ``sort_key``.
-    """
-    groups: dict = {}
-    for ray in fan.rays:
-        groups.setdefault(sign_normalized(ray), []).append(ray)
-    return groups
-
-
 def compare(a: EllShadow, b: EllShadow,
             fans: Optional[tuple[Fan, Fan]] = None) -> Verdict:
     """Decide (non-)isomorphism of two shadow invariants.
@@ -183,12 +179,10 @@ def compare(a: EllShadow, b: EllShadow,
         if ell_shadow(fa) != a or ell_shadow(fb) != b:
             raise FansMismatch("supplied fans do not match the shadows under comparison")
         if fa.ambient_rank == 2 and fa.is_good() and fb.is_good():
-            lines_a, lines_b = _lines(fa), _lines(fb)
-            if lines_a.keys() == lines_b.keys() and all(
-                    len(rays) == len(lines_b[line]) for line, rays in lines_a.items()):
+            (lines_a, rays_a), (lines_b, rays_b) = fa._lines, fb._lines
+            if lines_a == lines_b:
                 # Pair up the rays line by line.
-                pairing = tuple(pair for line in sorted(lines_a)
-                                for pair in zip(sorted(lines_a[line]), sorted(lines_b[line])))
+                pairing = tuple((fa.rays[i], fb.rays[j]) for i, j in zip(rays_a, rays_b))
                 return Verdict(ISOMORPHIC,
                                Witness("surface-ray-line-bijection", pairing),
                                RULE_SURFACE)
@@ -199,9 +193,10 @@ def _sorted_differences(a, b):
     """The multiset differences a - b and b - a of two tuples of classes
     sorted by ``sort_key``, each sorted, by one merge."""
     only_a, only_b = [], []
+    keys_a, keys_b = [s.sort_key() for s in a], [s.sort_key() for s in b]
     i = j = 0
     while i < len(a) and j < len(b):
-        ka, kb = a[i].sort_key(), b[j].sort_key()
+        ka, kb = keys_a[i], keys_b[j]
         if ka == kb:
             i += 1
             j += 1

@@ -12,12 +12,19 @@ What a ``Fan`` derives once and keeps for its lifetime:
   smoothness, goodness and properness;
 * on first use, its walls, each with its span and, when first read, its
   primitive normal;
+* on first use, its interior wall spans, sorted;
+* on first use, for a surface, its rays grouped by the line they span:
+  each ray's line (the basis row of its wall's span), sorted, and the ray
+  indices in that order;
 * the isomorphism walk: a first chart, its inverse, and the other top
   cones in breadth-first order across walls with the chart coordinates
-  of the rays they add.
+  of the rays they add;
+* the chart-signature index: every ordered top cone, keyed by the chart
+  coordinates of the rays its neighbours across walls add.
 
-Results (shadows, moment graphs, verdicts, isomorphism matrices) are
-never cached: each call computes its result afresh from this structure.
+Only these immutable tuples and the index are shared between calls.
+Results (``EllShadow``, ``MomentGraph``, ``Verdict``, isomorphism
+matrices) are built anew on every call from this structure.
 """
 
 from __future__ import annotations
@@ -27,9 +34,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .errors import WORK_LIMIT, MalformedFan, NotGood, TooLarge
+from .errors import WORK_LIMIT, MalformedFan, NotGood, TooLarge, TorellError
 from .lattice import (
     IntMatrix,
     SublatticeClass,
@@ -267,6 +275,70 @@ class Fan:
         return tuple(out)
 
     @cached_property
+    def _interior_spans(self) -> tuple[SublatticeClass, ...]:
+        """The spans of the interior walls, sorted by ``sort_key``.  They
+        share ambient rank and rank, so their bases give that order."""
+        return tuple(sorted((w.span for w in self._walls if w.interior),
+                            key=lambda s: s.basis))
+
+    @cached_property
+    def _lines(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """For a good surface: the line each ray spans, and the ray indices
+        in the same order, sorted by line and then by ray.
+
+        In the plane every ray is a wall.  A ray is primitive, so its line
+        is the basis row of that wall's span, the ray sign-normalised, and
+        ordering lines by that row is ordering their classes by
+        ``sort_key``.  The rows are the spans' own, not copies.
+        """
+        rows = sorted((w.span.basis[0], self.rays[i], i) for w in self._walls for i in w.cone)
+        return tuple(line for line, _, _ in rows), tuple(i for _, _, i in rows)
+
+    @cached_property
+    def _chart_index(self) -> dict[tuple, tuple[int, ...]]:
+        """Every ordered top cone of a good fan, keyed by its chart signature.
+
+        The signature of an ordered top cone (t_0, ..., t_{n-1}) lists, for
+        each k, the ray that the top cone across the wall opposite t_k adds,
+        in chart coordinates with the entry on t_k, always -1, left out; a
+        wall on the boundary lists None.  Each interior wall is read once:
+        with u and w the rays its two top cones add to it, the relation
+        u + w = sum of a_v v over its rays v gives those coordinates on
+        both sides.  An ordered top cone is coded as t * n! + p, where t is
+        its place in ``top_cones()`` and p the place of its ordering in
+        ``permutations(range(n))``, so each key lists its codes in the
+        order a scan of the top cones and their orderings meets them.
+        """
+        n = self.ambient_rank
+        relation = {wall: _wall_relation(self.rays, wall, *upper) if len(upper) == 2 else None
+                    for wall, upper in self._incidence.upper.items()}
+        orders = tuple(permutations(range(n)))
+        # For each ordering, the places in each opposite wall of the other
+        # rays, in the ordering's order; None where that is the wall's own
+        # order, and None for the whole ordering (always so in rank <= 2)
+        # when it is so on every wall.
+        picks = []
+        for order in orders:
+            pick = []
+            for q in order:
+                places = tuple(j - (j > q) for j in order if j != q)
+                pick.append(None if places == tuple(sorted(places)) else places)
+            picks.append(None if pick.count(None) == n else tuple(pick))
+        index: dict[tuple, list[int]] = {}
+        code = 0
+        for top in self._incidence.tops:
+            opposite = [relation[top[:k] + top[k + 1:]] for k in range(n)]
+            for order, pick in zip(orders, picks):
+                if pick is None:
+                    key = tuple([opposite[q] for q in order])
+                else:
+                    key = tuple(a if a is None or at is None else tuple([a[j] for j in at])
+                                for a, at in zip([opposite[q] for q in order], pick))
+                index.setdefault(key, []).append(code)
+                code += 1
+        return {key: tuple(codes) for key, codes in index.items()}
+
+    @cached_property
     def _isomorphism_walk(self):
         """The first top cone sigma0, the inverse of its ray matrix, and
         every other top cone with the sigma0 chart coordinates of the rays
@@ -356,9 +428,18 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
 def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
     """A unimodular matrix carrying f onto g (rays to rays, cones to cones).
 
-    The search maps the ray basis of one chart of f to every ordered ray
-    tuple of a top cone of g; that exhausts all candidate lattice maps.
-    Returns None when no isomorphism exists.
+    Every lattice map is fixed by where it sends the ray basis of one chart
+    sigma0 of f, and it carries f onto g only if it sends that ordered basis
+    to an ordered top cone of g.  It then also carries the top cone across
+    each wall of sigma0 to the top cone across the matching wall of the
+    image, and boundary walls to boundary walls; being linear, it keeps the
+    chart coordinates of the ray each neighbour adds.  So the image has the
+    chart signature of sigma0 (see ``Fan._chart_index``), and only the
+    ordered top cones of g under that signature are tried, in the order of
+    a scan of every top cone of g and every ordering of its rays.  The
+    signature is necessary, so the first candidate that carries f onto g
+    is the first the full scan would find, and so is the matrix.  Returns
+    None when no isomorphism exists.
     """
     for fan in (f, g):
         if not fan.is_good():
@@ -369,10 +450,10 @@ def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
         return None
     if len(f.top_cones()) != len(g.top_cones()):
         return None
-    # A wrong candidate fails on a neighbour of sigma0, the first step.
     sigma0, vinv, steps = f._isomorphism_walk
     ray_index = {ray: i for i, ray in enumerate(g.rays)}
-    g_tops = set(g.top_cones())
+    g_tops = g.top_cones()
+    g_top_set = set(g_tops)
 
     def carries(image):
         # The candidate sends the rays of sigma0 to those of image, and
@@ -381,22 +462,71 @@ def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
         mapping = dict(zip(sigma0, image))
         for top, new in steps:
             for i, c in new:
-                j = ray_index.get(tuple(sum(a * b for a, b in zip(row, c)) for row in rows))
+                j = ray_index.get(tuple([sum(map(mul, row, c)) for row in rows]))
                 if j is None:
                     return False
                 mapping[i] = j
-            if tuple(sorted(mapping[i] for i in top)) not in g_tops:
+            if tuple(sorted([mapping[i] for i in top])) not in g_top_set:
                 return False
         # Every cone of a good fan is a face of a top cone, so f's cones
         # land on g's; the map is injective and both fans have as many
         # cones, so it hits all of them.
         return True
 
-    for tau in g.top_cones():
-        for image in permutations(tau):
-            if carries(image):
-                return IntMatrix.from_columns([g.rays[j] for j in image]) @ vinv
+    orders = tuple(permutations(range(f.ambient_rank)))
+    for code in g._chart_index.get(_chart_signature(f), ()):
+        top, order = divmod(code, len(orders))
+        image = tuple(g_tops[top][k] for k in orders[order])
+        if carries(image):
+            return IntMatrix.from_columns([g.rays[j] for j in image]) @ vinv
     return None
+
+
+def _chart_signature(fan: Fan) -> tuple:
+    """The chart signature of the first chart of the isomorphism walk, as
+    ``Fan._chart_index`` keys it, read with the chart's inverse."""
+    sigma0, vinv, _ = fan._isomorphism_walk
+    upper = fan._incidence.upper
+    signature = []
+    for k in range(len(sigma0)):
+        wall = sigma0[:k] + sigma0[k + 1:]
+        across = [top for top in upper[wall] if top != sigma0]
+        if across:
+            (added,) = [i for i in across[0] if i not in wall]
+            c = vinv.apply(fan.rays[added])
+            signature.append(c[:k] + c[k + 1:])
+        else:
+            signature.append(None)
+    return tuple(signature)
+
+
+def _wall_relation(rays, wall: Cone, first: Cone, second: Cone) -> tuple[int, ...]:
+    """The integers a, one per ray v of the wall in its order, with
+    u + w = sum of a_v v, where u and w are the rays that the wall's top
+    cones first and second add to it.
+
+    They are the coordinates of w in the chart (wall, u), whose determinant
+    d is +-1 in a good fan, by Cramer's rule: d times the determinant of
+    the chart with one column replaced by w.  The coordinate on u is -1
+    because the two top cones lie on opposite sides of the wall.
+    """
+    (u,) = [i for i in first if i not in wall]
+    (w,) = [i for i in second if i not in wall]
+    if len(wall) == 1:
+        # The adjugate of the 2 x 2 chart (v u).
+        (v0, v1), (u0, u1), (w0, w1) = rays[wall[0]], rays[u], rays[w]
+        d = v0 * u1 - v1 * u0
+        coordinates = (d * (w0 * u1 - w1 * u0), d * (v0 * w1 - v1 * w0))
+    else:
+        chart = [rays[i] for i in wall] + [rays[u]]
+        d = determinant(IntMatrix(tuple(chart)))
+        coordinates = tuple(
+            d * determinant(IntMatrix(tuple(chart[:j] + [rays[w]] + chart[j + 1:])))
+            for j in range(len(chart)))
+    if coordinates[-1] != -1:
+        raise TorellError(f"the top cones on wall {wall} do not meet across it "
+                          f"in a unimodular relation")
+    return coordinates[:-1]
 
 
 def _tops_by_wall_distance(fan: Fan, start: Cone) -> list[tuple[Cone, tuple[int, ...]]]:

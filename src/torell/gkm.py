@@ -15,7 +15,7 @@ from .fan import Cone, Fan, walls
 from .lattice import SublatticeClass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphEdge:
     endpoints: tuple[int, ...]        # one or two vertex ids
     label: tuple[int, ...]            # primitive covector, sign-normalized

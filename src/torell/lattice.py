@@ -333,7 +333,7 @@ def sign_normalized(v: Sequence[int]) -> Vector:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SublatticeClass:
     """Canonical representative of a saturated sublattice of Z^n.
 

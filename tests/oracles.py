@@ -10,8 +10,10 @@ derived its walls once; exact point location and rational
 determinants for the fan axiom; the backtracking enumerator of
 unimodular triangulations the library used before it walked flips; and
 the pairwise triangle-overlap check the library used before it checked
-facet incidence; the three-letter order on the words of one chart, which
-the single-chart Čech poset must reproduce; and the one-system-at-a-time rational solves for quotient
+facet incidence; the pairwise test of a star's wall connectivity the
+library used before it walked across walls; the three-letter order on
+the words of one chart, which the single-chart Čech poset must
+reproduce; and the one-system-at-a-time rational solves for quotient
 vertices and simplex equivalence the library used before it inverted each
 matrix once; and the surface flip certificate solved against Hermite forms
 and the dense Bareiss determinant the library used before it walked the
@@ -300,6 +302,22 @@ def _star_connected(tops, star):
                 component.add(j)
                 grown = True
     return len(component) == len(star)
+
+
+def star_connected_pairwise(tops, star):
+    """Grow one component from the star's first top cone, comparing each
+    top cone it reaches with every other top cone of the star for a shared
+    wall: the check the library made before it walked across the fan's
+    walls."""
+    n = len(tops[0])
+    seen, frontier = {star[0]}, [star[0]]
+    while frontier:
+        cur = frontier.pop()
+        for other in star:
+            if other not in seen and len(set(tops[cur]) & set(tops[other])) == n - 1:
+                seen.add(other)
+                frontier.append(other)
+    return len(seen) == len(star)
 
 
 # The letter order of one chart coordinate: c < a and c < b.

@@ -136,6 +136,23 @@ class TestCover:
         with pytest.raises(DisconnectedStar):
             cover(f)
 
+    @settings(max_examples=150, deadline=None)
+    @given(orthant_fans())
+    def test_star_walk_matches_pairwise_check(self, fan):
+        # The walk across walls refuses exactly the stars that the pairwise
+        # check finds disconnected, on every cone of the fan.
+        tops = fan.top_cones()
+        neighbours = cech._neighbours(fan)
+        for rho in fan.cones:
+            star = [i for i, top in enumerate(tops) if set(rho) <= set(top)]
+            if not star:
+                continue
+            if oracles.star_connected_pairwise(tops, star):
+                cech._check_star_connected(neighbours, star, rho)
+            else:
+                with pytest.raises(DisconnectedStar):
+                    cech._check_star_connected(neighbours, star, rho)
+
 
 def brute_force_poset(fan):
     """Independent chart-by-chart enumeration of the index poset.

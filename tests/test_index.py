@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
@@ -200,6 +200,63 @@ class TestFanIsomorphicAgainstScan:
             for g in fans:
                 if f is not g and (len(f.rays), len(f.cones)) == (len(g.rays), len(g.cones)):
                     assert fan_isomorphic(f, g) == oracles.fan_isomorphic(f, g)
+
+
+def image_code(f, g, m):
+    """The code in g's chart index of the ordered top cone that m sends
+    the first chart of f to."""
+    sigma0 = f._isomorphism_walk[0]
+    image = tuple(g.rays.index(m.apply(f.rays[i])) for i in sigma0)
+    top = tuple(sorted(image))
+    orders = list(permutations(range(f.ambient_rank)))
+    return (g.top_cones().index(top) * len(orders)
+            + orders.index(tuple(top.index(j) for j in image)))
+
+
+def without_first_top_cone(fan):
+    """A good fan that is not proper: a complete surface less one top cone."""
+    return Fan.from_cones(fan.ambient_rank, fan.rays, fan.maximal_cones()[1:])
+
+
+class TestChartIndex:
+    def pairs(self, corpus_fans):
+        rng = random.Random(47)
+        fans = ([f for f in corpus_fans.values() if f.is_good()] + blowup_surfaces()
+                + three_delta_cone_fans()[::8])
+        fans += [without_first_top_cone(f) for f in blowup_surfaces()[:6]]
+        for f in fans:
+            images = [f, shuffled_fan(f, rng),
+                      image_fan(f, random_unimodular(rng, f.ambient_rank), rng)]
+            for g in images + [g for g in fans if len(g.rays) == len(f.rays)]:
+                yield f, g
+
+    def test_every_lattice_map_lands_in_the_bucket(self, corpus_fans):
+        # The chart signature is necessary: the first chart of f goes to an
+        # ordered top cone of g listed under its signature.
+        found = 0
+        for f, g in self.pairs(corpus_fans):
+            m = oracles.fan_isomorphic(f, g)
+            if m is not None:
+                found += 1
+                assert image_code(f, g, m) in g._chart_index[fan_module._chart_signature(f)]
+        assert found > 100
+
+    def test_ranks_one_and_three_and_fans_that_are_not_proper(self, corpus_fans):
+        fans = [corpus_fans[name] for name in ("affine1", "p1", "affine2", "affine3",
+                                               "flop3_a", "flop3_b")]
+        fans += three_delta_cone_fans()[:20]
+        fans += [without_first_top_cone(f) for f in blowup_surfaces()[:6]]
+        rng = random.Random(53)
+        for f in fans:
+            assert f.ambient_rank != 2 or not f.is_proper()
+            image = image_fan(f, random_unimodular(rng, f.ambient_rank), rng)
+            for g in [f, image] + fans:
+                assert fan_isomorphic(f, g) == oracles.fan_isomorphic(f, g)
+
+    def test_index_is_built_once_per_fan(self, corpus_fans):
+        for g in corpus_fans.values():
+            if g.is_good():
+                assert g._chart_index is g._chart_index
 
 
 class TestCompareAgainstSaturation:
