@@ -9,7 +9,8 @@ shared wall under the permutation matching shared rays.
 
 The cover and its closure under intersection are listed in closed form, one
 element per cone and letter word on its rays; a fan that would list more
-than WORK_LIMIT elements is refused before any is built.
+than WORK_LIMIT elements, or write more than WORK_LIMIT chart words for
+them, is refused before any is built.
 """
 
 from __future__ import annotations
@@ -101,8 +102,11 @@ def _elements(fan: Fan, letters: str) -> tuple[CoverElement, ...]:
     So the closure has sum over rho of 2^|rho| elements.  That count is
     taken from the fan's cones, which in a good fan are the faces of its
     top cones, and more than WORK_LIMIT elements raise TooLarge before any
-    is listed.  Every cone's star is listed once, from the faces of each
-    top cone, and checked for wall connectivity in the order the faces are
+    is listed.  Each element writes one word per top cone of its star, and
+    each of the m top cones is in the star of its 2^n faces, so the words
+    number m (1 + |letters|)^n; more than WORK_LIMIT words raise TooLarge
+    too.  Every cone's star is listed once, from the faces of each top
+    cone, and checked for wall connectivity in the order the faces are
     first met.
     """
     if not fan.is_good():
@@ -112,6 +116,10 @@ def _elements(fan: Fan, letters: str) -> tuple[CoverElement, ...]:
         raise TooLarge(f"the fan's {len(fan.cones)} cones give {count} elements, "
                        f"over the limit of {WORK_LIMIT}")
     tops = fan.top_cones()
+    words = len(tops) * (1 + len(letters)) ** fan.ambient_rank
+    if words > WORK_LIMIT:
+        raise TooLarge(f"the fan's {len(tops)} top cones give {words} chart words, "
+                       f"over the limit of {WORK_LIMIT}")
     stars: dict[Cone, list[int]] = {}
     for i, top in enumerate(tops):
         for keep in product((False, True), repeat=len(top)):

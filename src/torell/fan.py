@@ -41,6 +41,7 @@ from .errors import WORK_LIMIT, MalformedFan, NotGood, TooLarge, TorellError
 from .lattice import (
     IntMatrix,
     SublatticeClass,
+    adjugate,
     determinant,
     integer_rank,
     inverse_unimodular,
@@ -506,23 +507,16 @@ def _wall_relation(rays, wall: Cone, first: Cone, second: Cone) -> tuple[int, ..
     cones first and second add to it.
 
     They are the coordinates of w in the chart (wall, u), whose determinant
-    d is +-1 in a good fan, by Cramer's rule: d times the determinant of
-    the chart with one column replaced by w.  The coordinate on u is -1
-    because the two top cones lie on opposite sides of the wall.
+    d is +-1 in a good fan: d times the adjugate of the chart applied to w.
+    The coordinate on u is -1 because the two top cones lie on opposite
+    sides of the wall.
     """
     (u,) = [i for i in first if i not in wall]
     (w,) = [i for i in second if i not in wall]
-    if len(wall) == 1:
-        # The adjugate of the 2 x 2 chart (v u).
-        (v0, v1), (u0, u1), (w0, w1) = rays[wall[0]], rays[u], rays[w]
-        d = v0 * u1 - v1 * u0
-        coordinates = (d * (w0 * u1 - w1 * u0), d * (v0 * w1 - v1 * w0))
-    else:
-        chart = [rays[i] for i in wall] + [rays[u]]
-        d = determinant(IntMatrix(tuple(chart)))
-        coordinates = tuple(
-            d * determinant(IntMatrix(tuple(chart[:j] + [rays[w]] + chart[j + 1:])))
-            for j in range(len(chart)))
+    # The chart's rays are the rows of its transpose, so the coordinates
+    # are read from the columns of the adjugate of those rows.
+    d, adj = adjugate([rays[i] for i in wall] + [rays[u]])
+    coordinates = tuple(d * sum(map(mul, column, rays[w])) for column in zip(*adj))
     if coordinates[-1] != -1:
         raise TorellError(f"the top cones on wall {wall} do not meet across it "
                           f"in a unimodular relation")

@@ -1,18 +1,19 @@
 """Exact integer linear algebra over Z.
 
 Hermite normal forms, determinants, kernels, saturation and primitive
-normal covectors, all over arbitrary-precision Python integers.  No
-floating point is used anywhere in this module.  Every value is immutable
-after construction and every operation is a pure function, so everything
-here is safe to share across threads.
+normal covectors, all over arbitrary-precision Python integers.  The one
+inverse is the fraction-free adjugate: A^-1 = adj A / det A, with the
+division left to the caller.  No rational or floating-point number is
+used anywhere in this module.  Every value is immutable after
+construction and every operation is a pure function, so everything here
+is safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, NonSquare, WrongCorank
 
@@ -44,10 +45,7 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, cols: Iterable[Sequence[int]]) -> "IntMatrix":
-        cols = [list(c) for c in cols]
-        if not cols:
-            return cls(())
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(len(cols[0]))))
+        return cls(tuple(zip(*cols)))
 
     @property
     def rows(self) -> int:
@@ -59,10 +57,6 @@ class IntMatrix:
 
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -139,7 +133,7 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _hnf_transform(rows: Sequence[Sequence[int]], ncols: int):
+def hermite_transform(rows: Sequence[Sequence[int]], ncols: int):
     """Row Hermite normal form with transformation.
 
     Returns (H, U, pivots) where U is unimodular, U * A = H, H is the
@@ -200,12 +194,12 @@ def _hnf_transform(rows: Sequence[Sequence[int]], ncols: int):
 
 def hnf(m: IntMatrix) -> IntMatrix:
     """Canonical row Hermite normal form; same row span over Z as the input."""
-    h, _, _ = _hnf_transform(m.entries, m.cols)
+    h, _, _ = hermite_transform(m.entries, m.cols)
     return IntMatrix.from_rows(h)
 
 
 def integer_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
-    _, _, pivots = _hnf_transform(rows, ncols)
+    _, _, pivots = hermite_transform(rows, ncols)
     return len(pivots)
 
 
@@ -215,104 +209,50 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
     The result is a basis of a saturated sublattice (kernels always are);
     each basis vector is a row of a unimodular matrix, hence primitive.
     """
-    rows = [list(r) for r in rows]
     transposed = [[row[j] for row in rows] for j in range(ncols)]
-    h, u, pivots = _hnf_transform(transposed, len(rows))
-    rank = len(pivots)
-    return [tuple(u[i]) for i in range(rank, ncols)]
+    _, u, pivots = hermite_transform(transposed, len(rows))
+    return [tuple(row) for row in u[len(pivots):]]
 
 
-def integer_solver(a: IntMatrix) -> Callable[[Sequence[int]], Optional[Vector]]:
-    """``b -> one integer solution x of A x = b, or None if none exists``.
+def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det A, adj A) for the square matrix A with the given rows, so that
+    A adj A = adj A A = det A I.
 
-    The Hermite form of A's transpose is computed once and shared by every
-    right-hand side the returned function is given.
-    """
-    at = a.transpose()
-    h, u, pivots = _hnf_transform(at.entries, at.cols)
-    n = a.cols
-
-    def solve(b: Sequence[int]) -> Optional[Vector]:
-        if len(b) != a.rows:
-            raise DimensionMismatch("right-hand side length mismatch")
-        residue = list(_as_vector(b))
-        coeffs = [0] * len(h)
-        for r, c in enumerate(pivots):
-            q, rem = divmod(residue[c], h[r][c])
-            if rem:
-                return None
-            coeffs[r] = q
-            if q:
-                residue = [x - q * y for x, y in zip(residue, h[r])]
-        if any(residue):
-            return None
-        x = [0] * n
-        for r, q in enumerate(coeffs):
-            if q:
-                x = [xi + q * ui for xi, ui in zip(x, u[r])]
-        return tuple(x)
-
-    return solve
-
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1.
-
-    The Hermite form of a unimodular matrix is the identity, so the
-    transform U with U A = H is the inverse.
-    """
-    if m.rows != m.cols:
-        raise NonSquare("only square matrices invert")
-    n = m.rows
-    h, u, pivots = _hnf_transform(m.entries, n)
-    if len(pivots) != n:
-        raise NonSquare("matrix is singular")
-    if any(h[i][i] != 1 for i in range(n)):
-        raise NonSquare("matrix is not unimodular")
-    return IntMatrix.from_rows(u)
-
-
-def row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q by exact Gauss-Jordan elimination.
-
-    Returns (R, pivots): R has the input's row space over Q, every pivot is
-    1 and the only nonzero entry of its column, zero rows come last, and
-    pivots lists the pivot column of each nonzero row.
-    """
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    for col in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        if r == len(a):
-            break
-        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        scale = a[r][col]
-        a[r] = [x / scale for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col]:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-    return a, pivots
-
-
-def rational_inverse(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Exact inverse over Q of the square matrix with the given rows.
-
-    Gauss-Jordan elimination turns [A | I] into [I | A^-1]; a singular
-    matrix raises NonSquare, as ``inverse_unimodular`` does.
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968) turns [A | I]
+    into [d I | R] with exact divisions, each entry a minor of [A | I]; the
+    sign of the row swaps it makes takes d and R to det A and adj A.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise NonSquare("only square matrices invert")
-    a, pivots = row_reduce([list(row) + [int(i == j) for j in range(n)]
-                            for i, row in enumerate(rows)])
-    if pivots != list(range(n)):
-        raise NonSquare("matrix is singular")
-    return [row[n:] for row in a]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            break
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row, p = a[k], a[k][k]
+        for i in range(n):
+            c = a[i][k]
+            if i != k and (c or p != prev):
+                a[i] = [(x * p - c * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    else:
+        return sign * prev, [[sign * x for x in row[n:]] for row in a]
+    # A is singular: adj[i][j] is the (j, i) cofactor.
+    return 0, [[(-1) ** (i + j) * _bareiss([r[:i] + r[i + 1:] for r in rows[:j] + rows[j + 1:]])
+                for j in range(n)] for i in range(n)]
+
+
+def inverse_unimodular(m: IntMatrix) -> IntMatrix:
+    """Exact inverse of a matrix with determinant +-1: det A adj A."""
+    det, adj = adjugate(m.entries)
+    if abs(det) != 1:
+        raise NonSquare("matrix is singular" if det == 0 else "matrix is not unimodular")
+    return IntMatrix(tuple(tuple(det * x for x in row) for row in adj))
 
 
 def is_primitive(v: Sequence[int]) -> bool:
@@ -322,14 +262,14 @@ def is_primitive(v: Sequence[int]) -> bool:
     return g == 1
 
 
-def sign_normalized(v: Sequence[int]) -> Vector:
-    """Flip the sign so the first nonzero coordinate is positive."""
-    v = _as_vector(v)
+def sign_normalized(v: Vector) -> Vector:
+    """Flip the sign so the first nonzero coordinate is positive.
+
+    A tuple already so normalised is returned as it is, not copied.
+    """
     for x in v:
-        if x > 0:
-            return v
-        if x < 0:
-            return tuple(-y for y in v)
+        if x:
+            return v if x > 0 else tuple(-y for y in v)
     return v
 
 
@@ -396,10 +336,10 @@ def span_class(vectors: Sequence[Sequence[int]], ambient_rank: int) -> Sublattic
     if len(vectors) == 1:
         # A single nonzero row is in Hermite form once its leading entry is
         # positive.
-        row = sign_normalized(vectors[0])
+        row = sign_normalized(tuple(vectors[0]))
         if any(row):
             return SublatticeClass(ambient_rank, (row,))
-    h, _, pivots = _hnf_transform(vectors, ambient_rank)
+    h, _, pivots = hermite_transform(vectors, ambient_rank)
     return SublatticeClass(ambient_rank, tuple(tuple(r) for r in h[:len(pivots)]))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import lcm, prod
 from typing import Iterable, Optional, Sequence
 
@@ -31,7 +31,7 @@ from .errors import (
     WORK_LIMIT,
 )
 from .fan import Fan, facet_sides
-from .lattice import IntMatrix, determinant, hnf, integer_solver, kernel_basis, rational_inverse
+from .lattice import IntMatrix, adjugate, determinant, hermite_transform, hnf
 
 Point = tuple
 
@@ -62,10 +62,6 @@ class LatticeSimplex:
         dim = len(vertices[0])
         if len(vertices) != dim + 1 or any(len(v) != dim for v in vertices):
             raise DimensionMismatch("a simplex in Z^d has exactly d+1 vertices")
-        edges = IntMatrix.from_rows(
-            [tuple(v[i] - vertices[0][i] for i in range(dim)) for v in vertices[1:]])
-        if determinant(edges) == 0:
-            raise DimensionMismatch("simplex vertices are affinely dependent")
         return cls(dim, vertices, *_enumerate_points(vertices, dim))
 
     @property
@@ -88,23 +84,26 @@ class LatticeSimplex:
 
 def _enumerate_points(vertices, dim):
     """The lattice points, in sorted order, and the facets each lies on."""
+    base = vertices[0]
+    # The adjugate of the edge matrix gives every candidate's barycentric
+    # coordinates times the determinant; only their signs matter, so the
+    # determinant's sign is taken into the adjugate.
+    det, adj = adjugate([[v[i] - base[i] for v in vertices[1:]] for i in range(dim)])
+    if det == 0:
+        raise DimensionMismatch("simplex vertices are affinely dependent")
+    if det < 0:
+        det, adj = -det, [[-x for x in row] for row in adj]
     ranges = [range(min(v[i] for v in vertices), max(v[i] for v in vertices) + 1)
               for i in range(dim)]
     box = prod(len(r) for r in ranges)
     if box > WORK_LIMIT:
         raise TooLarge(f"the simplex's bounding box holds {box} lattice points, "
                        f"over the limit of {WORK_LIMIT}")
-    base = vertices[0]
-    # One inverse of the edge matrix gives every candidate's barycentric
-    # coordinates; scaled to integers, since only their signs matter.
-    inverse = rational_inverse([[v[i] - base[i] for v in vertices[1:]] for i in range(dim)])
-    scale = lcm(*(x.denominator for row in inverse for x in row))
-    inverse = [[int(x * scale) for x in row] for row in inverse]
     points, point_facets = [], []
     for p in product(*ranges):
         offset = [p[i] - base[i] for i in range(dim)]
-        lam = [sum(x * y for x, y in zip(row, offset)) for row in inverse]
-        coords = [scale - sum(lam)] + lam
+        lam = [sum(x * y for x, y in zip(row, offset)) for row in adj]
+        coords = [det - sum(lam)] + lam
         if all(c >= 0 for c in coords):
             points.append(p)
             point_facets.append(frozenset(j for j, c in enumerate(coords) if c == 0))
@@ -113,10 +112,17 @@ def _enumerate_points(vertices, dim):
 
 @dataclass(frozen=True)
 class Triangulation:
-    """A unimodular triangulation of a lattice simplex using all its points."""
+    """A unimodular triangulation of a lattice simplex using all its points.
+
+    The facets on two cells, found once by the check on construction, are
+    kept for ``flips``.
+    """
 
     simplex: LatticeSimplex
     cells: tuple[tuple[int, ...], ...]   # sorted point-index tuples
+    # interior facet -> the two cells on it, in the cells' order
+    _facet_cells: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Check the cells form a unimodular triangulation using every point.
@@ -155,14 +161,8 @@ class Triangulation:
         for facet, cells in on.items():
             if len(cells) == 1 and not frozenset.intersection(*(boundary[i] for i in facet)):
                 raise NotUnimodular(f"cells overlap or leave a gap at facet {facet}")
-
-    def interior_edges(self) -> dict[tuple[int, int], tuple]:
-        """Facets shared by exactly two cells, with the sharing cells."""
-        facets: dict[tuple, list] = {}
-        for cell in self.cells:
-            for facet in combinations(cell, len(cell) - 1):
-                facets.setdefault(facet, []).append(cell)
-        return {f: tuple(cs) for f, cs in facets.items() if len(cs) == 2}
+        object.__setattr__(self, "_facet_cells",
+                           {facet: cells for facet, cells in on.items() if len(cells) == 2})
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def flips(t: Triangulation) -> tuple[FlipMove, ...]:
         raise NotDim2("flips are implemented for two-dimensional simplices")
     pts = t.simplex.points
     moves = []
-    for edge, (c1, c2) in sorted(t.interior_edges().items()):
+    for edge, (c1, c2) in sorted(t._facet_cells.items()):
         p, q = edge
         (r,) = set(c1) - set(edge)
         (s,) = set(c2) - set(edge)
@@ -285,24 +285,26 @@ def quotient_simplex(generators: Iterable[Sequence], rank: Optional[int] = None)
     refined_rank = sum(1 for row in h if any(row))
     if refined_rank != n:
         raise DimensionMismatch(f"refined lattice has rank {refined_rank}, not {n}")
-    basis = [tuple(Fraction(x, denom) for x in h[i]) for i in range(n)]
-    heights = [sum(b) for b in basis]
-    if any(x.denominator != 1 for x in heights):
-        raise NotInSL(f"refined lattice basis has non-integral heights {heights}")
-    transform = _height_normalizer([int(x) for x in heights])
-    new_basis = [tuple(sum(transform[j][k] * basis[j][i] for j in range(n))
-                       for i in range(n))
-                 for k in range(n)]
+    # The rows of h over denom are a basis of the refined lattice.
+    heights = [sum(h[i]) for i in range(n)]
+    if any(x % denom for x in heights):
+        raise NotInSL(f"refined lattice basis has non-integral heights "
+                      f"{[Fraction(x, denom) for x in heights]}")
+    transform = _height_normalizer([x // denom for x in heights])
+    # Column k of m is denom times basis vector k after the height change.
+    m = [[sum(transform[j][k] * h[j][i] for j in range(n)) for k in range(n)]
+         for i in range(n)]
     # Vertex i has the coordinates of e_i in the new basis: column i of the
-    # inverse of the matrix whose columns are that basis.
-    inverse = rational_inverse([[new_basis[k][i] for k in range(n)] for i in range(n)])
+    # inverse of m / denom, that is of denom * adj(m) / det(m).
+    det, adj = adjugate(m)
     vertices = []
     for i in range(n):
-        coords = [row[i] for row in inverse]
-        if any(c.denominator != 1 for c in coords) or coords[-1] != 1:
-            raise NotInSL(f"vertex {i} of the quotient simplex is {coords}, "
+        coords = [denom * row[i] for row in adj]
+        if any(c % det for c in coords) or coords[-1] != det:
+            raise NotInSL(f"vertex {i} of the quotient simplex is "
+                          f"{[Fraction(c, det) for c in coords]}, "
                           "not a lattice point at height one")
-        vertices.append(tuple(int(c) for c in coords[:-1]))
+        vertices.append(tuple(c // det for c in coords[:-1]))
     # Normalize the translation freedom: put the componentwise minimum at 0.
     lows = [min(v[i] for v in vertices) for i in range(n - 1)]
     vertices = [tuple(v[i] - lows[i] for i in range(n - 1)) for v in vertices]
@@ -318,16 +320,17 @@ def simplices_equivalent(s1: LatticeSimplex, s2: LatticeSimplex) -> bool:
     v1 = s1.vertices
     base1 = v1[0]
     # The map sending s1's edges from base1 to an ordering's edges is that
-    # ordering's edge matrix times the inverse of s1's.
-    inverse = rational_inverse([[v[i] - base1[i] for v in v1[1:]] for i in range(d)])
+    # ordering's edge matrix times the inverse of s1's, adj1 / det1: it is
+    # integral exactly when det1 divides the product with adj1.
+    det1, adj1 = adjugate([[v[i] - base1[i] for v in v1[1:]] for i in range(d)])
     for perm in permutations(range(d + 1)):
         v2 = [s2.vertices[i] for i in perm]
         base2 = v2[0]
         rows_a = [[sum((v[i] - base2[i]) * x for v, x in zip(v2[1:], column))
-                   for column in zip(*inverse)] for i in range(d)]
-        if any(x.denominator != 1 for row in rows_a for x in row):
+                   for column in zip(*adj1)] for i in range(d)]
+        if any(x % det1 for row in rows_a for x in row):
             continue
-        rows_a = [[int(x) for x in row] for row in rows_a]
+        rows_a = [[x // det1 for x in row] for row in rows_a]
         if abs(determinant(IntMatrix.from_rows(rows_a))) != 1:
             continue
 
@@ -344,13 +347,13 @@ def _height_normalizer(heights: list[int]) -> list[list[int]]:
     """Unimodular U (as U[j][k]) with sum-row . U = (0, ..., 0, 1).
 
     Its columns are a kernel basis of the heights followed by one integer
-    combination of them reaching 1.
+    combination of them reaching 1: the rows after the first of the
+    Hermite transform of the heights column, then its first row.
     """
-    unit = integer_solver(IntMatrix.from_rows([heights]))((1,))
-    if unit is None:
+    _, u, _ = hermite_transform([[x] for x in heights], 1)
+    if sum(x * y for x, y in zip(u[0], heights)) != 1:
         raise NotInSL(f"heights {heights} do not generate Z")
-    columns = kernel_basis([heights], len(heights)) + [unit]
-    return [list(row) for row in zip(*columns)]
+    return [list(row) for row in zip(*(u[1:] + u[:1]))]
 
 
 def _placing_cells(simplex: LatticeSimplex) -> tuple[tuple[int, ...], ...]:
@@ -432,18 +435,12 @@ def mu2_kernel_triangulations() -> tuple[Triangulation, Triangulation]:
     idx = s.point_index
     p00, p01, p02 = idx((0, 0)), idx((0, 1)), idx((0, 2))
     p10, p11, p20 = idx((1, 0)), idx((1, 1)), idx((2, 0))
-    medial = Triangulation(s, tuple(sorted([
-        tuple(sorted((p00, p10, p01))),
-        tuple(sorted((p01, p10, p11))),
-        tuple(sorted((p01, p11, p02))),
-        tuple(sorted((p10, p20, p11))),
-    ])))
-    flipped = Triangulation(s, tuple(sorted([
-        tuple(sorted((p00, p10, p01))),
-        tuple(sorted((p01, p10, p02))),
-        tuple(sorted((p10, p11, p02))),
-        tuple(sorted((p10, p20, p11))),
-    ])))
+
+    def triangulation(*cells):
+        return Triangulation(s, tuple(sorted(tuple(sorted(c)) for c in cells)))
+
+    medial = triangulation((p00, p10, p01), (p01, p10, p11), (p01, p11, p02), (p10, p20, p11))
+    flipped = triangulation((p00, p10, p01), (p01, p10, p02), (p10, p11, p02), (p10, p20, p11))
     return medial, flipped
 
 

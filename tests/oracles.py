@@ -17,8 +17,10 @@ reproduce; and the one-system-at-a-time rational solves for quotient
 vertices and simplex equivalence the library used before it inverted each
 matrix once; and the surface flip certificate solved against Hermite forms
 and the dense Bareiss determinant the library used before it walked the
-cycle of top cones and skipped unchanged rows.  They are slow but follow
-the definitions literally, so the fast code is checked against them.
+cycle of top cones and skipped unchanged rows; and the Gauss-Jordan
+elimination over Q and the Hermite-form integer solver the library used
+before every inverse came from one integer adjugate.  They are slow but
+follow the definitions literally, so the fast code is checked against them.
 """
 
 from collections import Counter
@@ -33,14 +35,11 @@ from torell.fan import Wall
 from torell.lattice import (
     IntMatrix,
     SublatticeClass,
-    _hnf_transform,
+    hermite_transform,
     determinant,
     hnf,
     integer_rank,
-    integer_solver,
-    inverse_unimodular,
     kernel_basis,
-    row_reduce,
     sign_normalized,
     span_class,
 )
@@ -138,7 +137,7 @@ def maximal_cones(fan):
 
 
 def is_smooth(fan):
-    return all(abs(determinant(IntMatrix.from_rows([fan.rays[i] for i in c]))) == 1
+    return all(abs(rational_determinant([fan.rays[i] for i in c])) == 1
                for c in top_cones(fan))
 
 
@@ -167,7 +166,7 @@ def saturate(vectors, n):
     """Saturation as the double orthogonal complement, in Hermite form."""
     perp = kernel_basis(vectors, n)
     sat = kernel_basis(perp, n)
-    h, _, pivots = _hnf_transform(sat, n)
+    h, _, pivots = hermite_transform(sat, n)
     return SublatticeClass(n, tuple(tuple(r) for r in h[:len(pivots)]))
 
 
@@ -229,7 +228,7 @@ def fan_isomorphic(f, g):
         return None
     if len(top_cones(f)) != len(top_cones(g)):
         return None
-    vinv = inverse_unimodular(f.ray_matrix(top_cones(f)[0]))
+    vinv = IntMatrix.from_rows(rational_inverse(f.ray_matrix(top_cones(f)[0]).entries))
     ray_index = {ray: i for i, ray in enumerate(g.rays)}
     for tau in top_cones(g):
         for image in permutations(tau):
@@ -485,6 +484,42 @@ def unimodular_triangulations(simplex):
 
 # --- quotient vertices and simplex maps, one rational system at a time -------
 
+def row_reduce(rows):
+    """Reduced row echelon form over Q by exact Gauss-Jordan elimination.
+
+    Returns (R, pivots): R has the input's row space over Q, every pivot is
+    1 and the only nonzero entry of its column, zero rows come last, and
+    pivots lists the pivot column of each nonzero row.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        scale = a[r][col]
+        a[r] = [x / scale for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                factor = a[i][col]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
+
+
+def rational_inverse(rows):
+    """The inverse over Q of a square matrix, from Gauss-Jordan on [A | I];
+    None when the matrix is singular."""
+    n = len(rows)
+    a, pivots = row_reduce([list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(rows)])
+    return [row[n:] for row in a] if pivots == list(range(n)) else None
+
+
 def solve_fractions(rows, rhs):
     """Solve the square nonsingular rational system given by rows."""
     n = len(rows)
@@ -546,6 +581,27 @@ def simplices_equivalent(s1, s2):
 
 
 # --- surface flip certificates by Hermite forms, dense Bareiss ---------------
+
+def integer_solver(a):
+    """``b -> one integer solution x of A x = b, or None if none exists``,
+    from the Hermite form of A's transpose."""
+    h, u, pivots = hermite_transform([list(col) for col in zip(*a.entries)], a.rows)
+
+    def solve(b):
+        residue = list(b)
+        coeffs = [0] * len(h)
+        for r, c in enumerate(pivots):
+            q, rem = divmod(residue[c], h[r][c])
+            if rem:
+                return None
+            coeffs[r] = q
+            residue = [x - q * y for x, y in zip(residue, h[r])]
+        if any(residue):
+            return None
+        return tuple(sum(q * ui for q, ui in zip(coeffs, col)) for col in zip(*u))
+
+    return solve
+
 
 def bareiss(rows):
     """Determinant by fraction-free Bareiss elimination, every row below the

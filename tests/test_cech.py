@@ -378,9 +378,32 @@ class TestWorkLimit:
             cech_poset(fan)
 
     def test_a_poset_of_exactly_the_limit_is_listed(self, monkeypatch, p1):
-        monkeypatch.setattr(cech, "WORK_LIMIT", 5)     # p1's poset has 5 elements
-        assert len(cech_poset(p1).elements) == 5
-        monkeypatch.setattr(cech, "WORK_LIMIT", 4)
-        with pytest.raises(TooLarge):
+        # p1's poset has 5 elements, which write 6 chart words: each of its
+        # 2 top cones carries the zero cone's word and its ray's 2 words.
+        monkeypatch.setattr(cech, "WORK_LIMIT", 6)
+        poset = cech_poset(p1)
+        assert len(poset.elements) == 5
+        assert sum(len(e.words) for e in poset.elements) == 6
+        monkeypatch.setattr(cech, "WORK_LIMIT", 5)
+        with pytest.raises(TooLarge, match="6 chart words"):
             cech_poset(p1)
         assert len(cover(p1)) == 3
+
+    def test_a_cover_of_too_many_chart_words_is_refused_before_listing(self, monkeypatch):
+        # (P^1)^10 has 3^10 = 59,049 cones, within WORK_LIMIT, but its cover
+        # writes 2^10 words on each of its 2^10 top cones.
+        fan = projective_line_power(10)
+
+        def listed(*args):
+            raise AssertionError("a star was listed before the refusal")
+
+        monkeypatch.setattr(cech, "_check_star_connected", listed)
+        with pytest.raises(TooLarge, match="1048576 chart words"):
+            cover(fan)
+
+    def test_chart_words_number_top_cones_times_a_power_of_the_rank(self, corpus_fans):
+        fans = list(corpus_fans.values()) + [projective_line_power(3)]
+        for fan in fans:
+            m, n = len(fan.top_cones()), fan.ambient_rank
+            assert sum(len(e.words) for e in cover(fan)) == m * 2 ** n
+            assert sum(len(e.words) for e in cech_poset(fan).elements) == m * 3 ** n

@@ -171,6 +171,15 @@ class TestWalls:
         spans = sorted(w.span.basis for w in ws)
         assert spans == [((0, 1),), ((1, 0),), ((1, 1),)]
 
+    def test_a_plane_wall_spans_its_own_ray_when_normalised(self, p2):
+        # A normalised ray is the span's basis row itself, not a copy of it.
+        rows = {w.cone: w.span.basis[0] for w in walls(p2)}
+        for i, ray in enumerate(p2.rays):
+            if next(x for x in ray if x) > 0:
+                assert rows[(i,)] is ray
+            else:
+                assert rows[(i,)] == tuple(-x for x in ray)
+
     def test_affine_plane(self, corpus_fans):
         ws = walls(corpus_fans["affine2"])
         assert len(ws) == 2 and not any(w.interior for w in ws)

@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from torell.errors import DimensionMismatch, NonSquare, TorellError, WrongCorank
+from torell.errors import DimensionMismatch, NonSquare, WrongCorank
 from torell.lattice import (
     IntMatrix,
+    adjugate,
     determinant,
     hnf,
-    integer_solver,
+    inverse_unimodular,
     kernel_basis,
     primitive_normal,
-    rational_inverse,
     saturate,
 )
 
@@ -41,8 +41,8 @@ def cofactor_det(rows):
 def row_span_contains(container_rows, vector):
     if not container_rows:
         return not any(vector)
-    mat = IntMatrix.from_rows(container_rows).transpose()
-    return integer_solver(mat)(vector) is not None
+    mat = IntMatrix.from_columns(container_rows)
+    return oracles.integer_solver(mat)(vector) is not None
 
 
 def same_row_span(rows_a, rows_b):
@@ -236,6 +236,8 @@ class TestUnimodularBasis:
 
 
 class TestSolve:
+    """The oracle Hermite-form solver the other checks rely on."""
+
     def test_round_trip(self):
         rng = random.Random(7)
         for _ in range(100):
@@ -245,40 +247,83 @@ class TestSolve:
                 [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
             x = [rng.randint(-4, 4) for _ in range(cols)]
             b = a.apply(x)
-            solved = integer_solver(a)(b)
+            solved = oracles.integer_solver(a)(b)
             assert solved is not None
             assert a.apply(solved) == b
 
     def test_unsolvable(self):
         a = IntMatrix.from_rows([[2, 0], [0, 2]])
-        assert integer_solver(a)((1, 0)) is None
+        assert oracles.integer_solver(a)((1, 0)) is None
+
+
+def product_rows(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+class TestAdjugate:
+    def test_against_the_oracle_gauss_jordan(self):
+        rng = random.Random(15)
+        singular = 0
+        for _ in range(600):
+            n = rng.randint(1, 6)
+            rows = [[rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                # A row combination of two others makes a planted singular matrix.
+                i, j, k = (rng.randrange(n) for _ in range(3))
+                rows[i] = [x * rng.randint(-2, 2) + y for x, y in zip(rows[j], rows[k])]
+            det, adj = adjugate(rows)
+            inverse = oracles.rational_inverse(rows)
+            assert det == oracles.rational_determinant(rows)
+            if inverse is None:
+                singular += 1
+                assert det == 0
+                cofactors = [[(-1) ** (i + j) * oracles.rational_determinant(
+                    [r[:i] + r[i + 1:] for r in rows[:j] + rows[j + 1:]])
+                    for j in range(n)] for i in range(n)]
+                assert adj == cofactors
+            else:
+                assert adj == [[det * x for x in row] for row in inverse]
+            zero = [[det * (i == j) for j in range(n)] for i in range(n)]
+            assert product_rows(rows, adj) == product_rows(adj, rows) == zero
+        assert 50 < singular < 550       # both kinds are drawn often
+
+    def test_unimodular_inverse_is_det_times_adjugate(self):
+        rng = random.Random(16)
+        for n in range(1, 6):
+            for _ in range(20):
+                m = random_unimodular(rng, n)
+                inverse = inverse_unimodular(m)
+                assert m @ inverse == inverse @ m == IntMatrix.identity(n)
+        with pytest.raises(NonSquare, match="not unimodular"):
+            inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
 
 
 class TestRationalInverse:
+    """Inverses over Q are adj / det, read from the integer adjugate."""
+
     def test_inverse_times_matrix_is_identity(self):
         rng = random.Random(12)
         inverted = 0
         while inverted < 200:
             n = rng.randint(1, 5)
-            rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
-                    for _ in range(n)]
-            if oracles.rational_determinant(rows) == 0:
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            det, adj = adjugate(rows)
+            if det == 0:
                 continue
-            inverse = rational_inverse(rows)
+            inverse = [[Fraction(x, det) for x in row] for row in adj]
             identity = [[int(i == j) for j in range(n)] for i in range(n)]
-            for left, right in ((rows, inverse), (inverse, rows)):
-                assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
-                        for row in left] == identity
+            assert product_rows(rows, inverse) == product_rows(inverse, rows) == identity
             inverted += 1
 
     def test_singular_refused(self):
         for rows in ([[1, 2], [2, 4]], [[0]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
-            with pytest.raises(TorellError):
-                rational_inverse(rows)
+            assert adjugate(rows)[0] == 0
+            with pytest.raises(NonSquare, match="singular"):
+                inverse_unimodular(IntMatrix.from_rows(rows))
 
     def test_non_square_refused(self):
         with pytest.raises(NonSquare):
-            rational_inverse([[1, 0, 0], [0, 1, 0]])
+            adjugate([[1, 0, 0], [0, 1, 0]])
 
 
 class TestMatmul:

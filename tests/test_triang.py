@@ -159,7 +159,9 @@ class TestTriangulation:
             Triangulation(TWO_DELTA, (cell,))
 
     def test_fields_are_simplex_and_cells(self):
-        assert [f.name for f in dataclasses.fields(Triangulation)] == ["simplex", "cells"]
+        # The facet map the check derives takes no part in init, repr or equality.
+        assert [f.name for f in dataclasses.fields(Triangulation)
+                if f.init or f.repr or f.compare] == ["simplex", "cells"]
 
     def test_interval_cells(self):
         s = quotient_simplex(antidiagonal_generators(2))
