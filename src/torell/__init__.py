@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cech": (
-        "CechPoset", "CoverElement", "WitnessReport", "cech_poset", "classify",
-        "cohomology_witness", "cover", "poset_witness",
+        "CechPoset", "CoverElement", "WitnessReport", "cech_poset", "cohomology_witness",
+        "cover", "poset_witness",
     ),
     "ellinv": (
         "ISOMORPHIC", "NOT_ISOMORPHIC", "UNKNOWN", "EllShadow", "MayerVietorisLadder",
@@ -38,8 +38,7 @@ _EXPORTS = {
     ),
     "triang": (
         "DerivedEquivalenceCertificate", "FlipMove", "LatticeSimplex", "Triangulation",
-        "apply_flip", "cone_fan", "compose_certificates", "flips", "quotient_simplex",
-        "simplices_equivalent", "unimodular_triangulations",
+        "apply_flip", "cone_fan", "flips", "quotient_simplex", "unimodular_triangulations",
     ),
 }
 

@@ -209,26 +209,6 @@ def cech_poset(fan: Fan) -> CechPoset:
 
 
 @dataclass(frozen=True)
-class Classification:
-    smooth: bool
-    components: tuple[tuple[int, str], ...]  # (top-cone id, chart word) per component
-    divisor_positions: Optional[tuple[tuple[int, int], ...]]
-
-
-def classify(element: CoverElement) -> Classification:
-    """Smooth (irreducible) exactly when the support is a single chart;
-    otherwise one irreducible component per support member."""
-    smooth = len(element.support) == 1
-    components = tuple(zip(element.support, element.words))
-    positions = None
-    if all(w.count("a") == 1 and set(w) <= {"a", "c"} for w in element.words):
-        positions = tuple((cid, word.index("a"))
-                          for cid, word in zip(element.support, element.words))
-    return Classification(smooth=smooth, components=components,
-                          divisor_positions=positions)
-
-
-@dataclass(frozen=True)
 class WitnessEntry:
     singular: CoverElement
     components: tuple[CoverElement, CoverElement]

@@ -6,18 +6,18 @@ standard output.  Exit codes: 0 success, 1 a --expect assertion failed,
 
 Each handler imports the layers it calls, so a command loads only the
 modules it runs: ``validate`` never compiles the Čech, shadow, moment-graph
-or triangulation code.
+or triangulation code.  An error raised while a fan or triangulation
+operand is parsed, or while a fan is worked on, names that operand.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, fan as fan_mod, fan_io
-from .errors import ParseError, TooLarge, TorellError
+from .errors import ParseError, TorellError
 
 
 def _add_common(parser, reads_fans=True, formats=("json", "text")):
@@ -105,10 +105,11 @@ def _cmd_invariant(args) -> int:
     from . import ellinv
 
     f, name, data = fan_io.resolve_fan_argument(args.fan, args.corpus)
-    shadow = ellinv.ell_shadow(f)
-    result = {"fan": name, "shadow": fan_io.shadow_json(shadow)}
-    if args.ladder:
-        result["ladder"] = fan_io.ladder_json(ellinv.mv_ladder(f))
+    with fan_io.operand(name):
+        shadow = ellinv.ell_shadow(f)
+        result = {"fan": name, "shadow": fan_io.shadow_json(shadow)}
+        if args.ladder:
+            result["ladder"] = fan_io.ladder_json(ellinv.mv_ladder(f))
     lines = [f"{name}: rank={shadow.rank} "
              f"interior_walls={len(shadow.wall_spans)} "
              f"det_divisor_degree={shadow.det_divisor_degree()}"]
@@ -123,8 +124,12 @@ def _cmd_compare(args) -> int:
 
     fa, name_a, data_a = fan_io.resolve_fan_argument(args.fan_a, args.corpus)
     fb, name_b, data_b = fan_io.resolve_fan_argument(args.fan_b, args.corpus)
-    sa, sb = ellinv.ell_shadow(fa), ellinv.ell_shadow(fb)
-    verdict = ellinv.compare(sa, sb, fans=(fa, fb))
+    with fan_io.operand(name_a):
+        sa = ellinv.ell_shadow(fa)
+    with fan_io.operand(name_b):
+        sb = ellinv.ell_shadow(fb)
+    with fan_io.operand(f"{name_a} vs {name_b}"):
+        verdict = ellinv.compare(sa, sb, fans=(fa, fb))
     result = {
         "fan_a": name_a,
         "fan_b": name_b,
@@ -146,7 +151,8 @@ def _cmd_gkm(args) -> int:
     from . import gkm
 
     f, name, data = fan_io.resolve_fan_argument(args.fan, args.corpus)
-    graph = gkm.moment_graph(f)
+    with fan_io.operand(name):
+        graph = gkm.moment_graph(f)
     if args.format == "dot":
         sys.stdout.write(gkm.to_dot(graph))
         return 0
@@ -163,11 +169,9 @@ def _cmd_cech(args) -> int:
     from . import cech
 
     f, name, data = fan_io.resolve_fan_argument(args.fan, args.corpus)
-    try:
+    with fan_io.operand(name):
         poset = cech.cech_poset(f)
-    except TooLarge as exc:
-        raise TooLarge(f"{name}: {exc}") from None
-    witness = cech.poset_witness(poset)
+        witness = cech.poset_witness(poset)
     result = {"fan": name, "cover_size": len(poset.cover()),
               **fan_io.cech_json(poset, witness)}
     lines = [f"{name}: cover size {result['cover_size']}, "
@@ -177,14 +181,15 @@ def _cmd_cech(args) -> int:
     return 0
 
 
-def _resolve_triangulation(operand: str):
+def _resolve_triangulation(arg: str):
     from . import triang
 
-    if operand == "mu2-kernel":
+    if arg == "mu2-kernel":
         t, _ = triang.mu2_kernel_triangulations()
-        return t, operand, fan_io.dumps_canonical(fan_io.triangulation_json(t)).encode()
-    data = Path(operand).read_bytes()
-    return fan_io.parse_triangulation(data), operand, data
+        return t, arg, fan_io.dumps_canonical(fan_io.triangulation_json(t)).encode()
+    data = Path(arg).read_bytes()
+    with fan_io.operand(arg):
+        return fan_io.parse_triangulation(data), arg, data
 
 
 def _flip_listing(t):
@@ -243,6 +248,8 @@ def _cmd_flop(args) -> int:
 
 
 def _parse_generators(spec: str):
+    from fractions import Fraction
+
     gens = []
     for part in spec.split(";"):
         part = part.strip()

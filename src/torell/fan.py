@@ -16,9 +16,9 @@ What a ``Fan`` derives once and keeps for its lifetime:
 * on first use, for a surface, its rays grouped by the line they span:
   each ray's line (the basis row of its wall's span), sorted, and the ray
   indices in that order;
-* the isomorphism walk: a first chart, its inverse, and the other top
-  cones in breadth-first order across walls with the chart coordinates
-  of the rays they add;
+* the isomorphism walk: a first chart, its inverse, the other top cones
+  in breadth-first order across walls with the chart coordinates of the
+  rays they add, and the first chart's signature;
 * the chart-signature index: every ordered top cone, keyed by the chart
   coordinates of the rays its neighbours across walls add.
 
@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from itertools import combinations, permutations
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -70,17 +69,22 @@ def ccw_order(vectors: Sequence[Sequence[int]], start: Sequence[int]) -> list[in
     Angles are taken in [0, 2pi) from the direction of start; vectors of
     equal angle keep their input order.
     """
-    def angle_key(i):
-        v = vectors[i]
+    def half(v):
+        # 0: along start, 1: the open half turn after it, 2: opposite it,
+        # 3: the open half turn after that.
         cross = start[0] * v[1] - start[1] * v[0]
-        dot = start[0] * v[0] + start[1] * v[1]
         if cross:
-            # Within either open half turn the cotangent dot/cross falls
-            # as the angle grows.
-            return (1 if cross > 0 else 3, Fraction(-dot, cross))
-        return (0 if dot > 0 else 2, 0)
+            return 1 if cross > 0 else 3
+        return 0 if start[0] * v[0] + start[1] * v[1] > 0 else 2
 
-    return sorted(range(len(vectors)), key=angle_key)
+    halves = [half(v) for v in vectors]
+
+    def before(i, j):
+        # Within one half the angle grows from u to v exactly when u x v > 0.
+        (u0, u1), (v0, v1) = vectors[i], vectors[j]
+        return halves[i] - halves[j] or u1 * v0 - u0 * v1
+
+    return sorted(range(len(vectors)), key=cmp_to_key(before))
 
 
 def _facets(cones: Iterable[Cone]) -> set[Cone]:
@@ -88,7 +92,7 @@ def _facets(cones: Iterable[Cone]) -> set[Cone]:
     return {c[:i] + c[i + 1:] for c in cones for i in range(len(c))}
 
 
-def facet_sides(cells: Sequence[Cone], dets: Optional[Sequence[int]] = None
+def facet_sides(cells: Sequence[Cone], dets: Sequence[int]
                 ) -> tuple[dict[Cone, tuple[Cone, ...]], Optional[tuple[Cone, Cone, Cone]]]:
     """The cells on each facet of the given cells, in the cells' order, and
     the least (facet, cell, cell) with both cells on one side of the facet.
@@ -98,8 +102,7 @@ def facet_sides(cells: Sequence[Cone], dets: Optional[Sequence[int]] = None
     meet facet to facet only when the points they hold off a common facet
     lie strictly on opposite sides of its hyperplane, so the cells on one
     facet must lie on pairwise different sides: at most two, and two on
-    opposite sides.  Without determinants no side is read and the second
-    result is None.
+    opposite sides.
 
     The sides need no new elimination: moving the point off a facet from
     place k of a cell to the end takes len(cell) - 1 - k transpositions, so
@@ -109,16 +112,15 @@ def facet_sides(cells: Sequence[Cone], dets: Optional[Sequence[int]] = None
     on: dict[Cone, tuple[Cone, ...]] = {}
     first_on_side: tuple[dict[Cone, Cone], ...] = ({}, {})   # per side: facet -> cell
     clashes = []
-    for j, cell in enumerate(cells):
+    for cell, det in zip(cells, dets):
         for k in range(len(cell)):
             facet = cell[:k] + cell[k + 1:]
             on[facet] = on.get(facet, ()) + (cell,)
-            if dets is not None:
-                first = first_on_side[(dets[j] > 0) != ((len(cell) - 1 - k) % 2 == 1)]
-                if facet in first:
-                    clashes.append((facet, first[facet], cell))
-                else:
-                    first[facet] = cell
+            first = first_on_side[(det > 0) != ((len(cell) - 1 - k) % 2 == 1)]
+            if facet in first:
+                clashes.append((facet, first[facet], cell))
+            else:
+                first[facet] = cell
     return on, min(clashes, default=None)
 
 
@@ -190,9 +192,9 @@ class Fan:
                 raise MalformedFan(f"rays of cone {cone} are linearly dependent")
         if used != set(range(len(self.rays))):
             raise MalformedFan("some listed ray appears in no cone")
-        object.__setattr__(self, "_incidence", self._derive_incidence(facets, dets))
         if n == 2:
             self._check_plane_cones()
+        object.__setattr__(self, "_incidence", self._derive_incidence(facets, dets))
 
     def _check_plane_cones(self):
         """Refuse a 2-cone with a ray of the fan strictly inside it.
@@ -248,9 +250,10 @@ class Fan:
         maximal = tuple(sorted(c for c in self.cones if c not in facets))
         # No n-cone is a facet, so the top cones are the maximal n-cones.
         tops = tuple(c for c in maximal if len(c) == n)
-        # Rank 1 has two opposite rays at most and in rank 2 the plane check
-        # is the whole fan axiom, so only higher ranks read sides.
-        on, clash = facet_sides(tops, [dets[t] for t in tops] if n >= 3 else None)
+        # Rank 1 has two opposite rays at most, and in rank 2 two cones on
+        # one side of a ray hold each other's ray, which the plane check has
+        # refused, so only higher ranks can clash.
+        on, clash = facet_sides(tops, [dets[t] for t in tops])
         if clash is not None:
             wall, first, second = clash
             raise MalformedFan(f"cones {first} and {second} lie on the same "
@@ -311,7 +314,7 @@ class Fan:
         order a scan of the top cones and their orderings meets them.
         """
         n = self.ambient_rank
-        relation = {wall: _wall_relation(self.rays, wall, *upper) if len(upper) == 2 else None
+        relation = {wall: _wall_relation(self.rays, wall, upper)
                     for wall, upper in self._incidence.upper.items()}
         orders = tuple(permutations(range(n)))
         # For each ordering, the places in each opposite wall of the other
@@ -341,15 +344,19 @@ class Fan:
 
     @cached_property
     def _isomorphism_walk(self):
-        """The first top cone sigma0, the inverse of its ray matrix, and
-        every other top cone with the sigma0 chart coordinates of the rays
-        it adds, in the order a walk across walls from sigma0 meets them.
-        Defined for good fans."""
+        """The first top cone sigma0, the inverse of its ray matrix, every
+        other top cone with the sigma0 chart coordinates of the rays it
+        adds, in the order a walk across walls from sigma0 meets them, and
+        the chart signature of sigma0 as ``_chart_index`` keys it.  Defined
+        for good fans."""
         sigma0 = self.top_cones()[0]
         vinv = inverse_unimodular(self.ray_matrix(sigma0))
         steps = tuple((top, tuple((i, vinv.apply(self.rays[i])) for i in new))
                       for top, new in _tops_by_wall_distance(self, sigma0)[1:])
-        return sigma0, vinv, steps
+        upper = self._incidence.upper
+        sigma0_walls = [sigma0[:k] + sigma0[k + 1:] for k in range(len(sigma0))]
+        signature = tuple(_wall_relation(self.rays, w, upper[w]) for w in sigma0_walls)
+        return sigma0, vinv, steps, signature
 
     def cones_of_dim(self, d: int) -> tuple[Cone, ...]:
         return tuple(sorted(c for c in self.cones if len(c) == d))
@@ -451,7 +458,7 @@ def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
         return None
     if len(f.top_cones()) != len(g.top_cones()):
         return None
-    sigma0, vinv, steps = f._isomorphism_walk
+    sigma0, vinv, steps, signature = f._isomorphism_walk
     ray_index = {ray: i for i, ray in enumerate(g.rays)}
     g_tops = g.top_cones()
     g_top_set = set(g_tops)
@@ -475,7 +482,7 @@ def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
         return True
 
     orders = tuple(permutations(range(f.ambient_rank)))
-    for code in g._chart_index.get(_chart_signature(f), ()):
+    for code in g._chart_index.get(signature, ()):
         top, order = divmod(code, len(orders))
         image = tuple(g_tops[top][k] for k in orders[order])
         if carries(image):
@@ -483,34 +490,19 @@ def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
     return None
 
 
-def _chart_signature(fan: Fan) -> tuple:
-    """The chart signature of the first chart of the isomorphism walk, as
-    ``Fan._chart_index`` keys it, read with the chart's inverse."""
-    sigma0, vinv, _ = fan._isomorphism_walk
-    upper = fan._incidence.upper
-    signature = []
-    for k in range(len(sigma0)):
-        wall = sigma0[:k] + sigma0[k + 1:]
-        across = [top for top in upper[wall] if top != sigma0]
-        if across:
-            (added,) = [i for i in across[0] if i not in wall]
-            c = vinv.apply(fan.rays[added])
-            signature.append(c[:k] + c[k + 1:])
-        else:
-            signature.append(None)
-    return tuple(signature)
-
-
-def _wall_relation(rays, wall: Cone, first: Cone, second: Cone) -> tuple[int, ...]:
+def _wall_relation(rays, wall: Cone, upper: tuple[Cone, ...]) -> Optional[tuple[int, ...]]:
     """The integers a, one per ray v of the wall in its order, with
-    u + w = sum of a_v v, where u and w are the rays that the wall's top
-    cones first and second add to it.
+    u + w = sum of a_v v, where u and w are the rays that the wall's two
+    top cones add to it; None on a boundary wall.
 
     They are the coordinates of w in the chart (wall, u), whose determinant
     d is +-1 in a good fan: d times the adjugate of the chart applied to w.
     The coordinate on u is -1 because the two top cones lie on opposite
     sides of the wall.
     """
+    if len(upper) != 2:
+        return None
+    first, second = upper
     (u,) = [i for i in first if i not in wall]
     (w,) = [i for i in second if i not in wall]
     # The chart's rays are the rows of its transpose, so the coordinates

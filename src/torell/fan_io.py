@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -228,10 +229,17 @@ def resolve_fan_argument(arg: str, corpus: Optional[str] = None):
         data = Path(arg).read_bytes()
     else:
         data = corpus_bytes(arg, corpus)
-    try:
+    with operand(arg):
         return parse_fan(data), arg, data
+
+
+@contextmanager
+def operand(name: str):
+    """Name the operand in the message of any TorellError raised inside."""
+    try:
+        yield
     except TorellError as exc:
-        exc.args = (f"{arg}: {exc}",) + exc.args[1:]
+        exc.args = (f"{name}: {exc}",) + exc.args[1:]
         raise
 
 
@@ -315,8 +323,7 @@ def element_json(e: CoverElement) -> dict:
 
 
 def cech_json(poset: CechPoset, witness: WitnessReport) -> dict:
-    from .cech import classify
-
+    """Counts, each element's smoothness (one chart in its support), witness."""
     grading = poset.grading()
     histogram: dict[int, int] = {}
     for e in poset.elements:
@@ -326,7 +333,7 @@ def cech_json(poset: CechPoset, witness: WitnessReport) -> dict:
         "counts_per_grade": {str(k): len(v) for k, v in grading.items()},
         "support_size_histogram": {str(k): v for k, v in sorted(histogram.items())},
         "classification": [
-            {"element": element_json(e), "smooth": classify(e).smooth}
+            {"element": element_json(e), "smooth": len(e.support) == 1}
             for e in poset.elements
         ],
         "witness": {

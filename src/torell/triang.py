@@ -10,14 +10,14 @@ Every triangulation, in any dimension, is checked on construction by one
 linear rule on facet incidence: each facet of a cell lies on two cells on
 opposite sides of it or in the simplex's boundary.
 A certificate records the common simplex together with a replayable flip
-path between two triangulations.
+path of any length between two triangulations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from math import lcm, prod
 from typing import Iterable, Optional, Sequence
 
@@ -53,6 +53,8 @@ class LatticeSimplex:
     points: tuple[Point, ...]          # all lattice points, sorted
     # per point, the facets it lies on, facet j being opposite vertices[j]
     point_facets: tuple[frozenset[int], ...] = field(compare=False, repr=False)
+    # the normalized volume, the determinant of the edges from vertices[0]
+    volume: int = field(compare=False, repr=False)
 
     @classmethod
     def from_vertices(cls, vertices: Sequence[Sequence[int]]) -> "LatticeSimplex":
@@ -73,17 +75,15 @@ class LatticeSimplex:
         return tuple(p for p, on in zip(self.points, self.point_facets) if not on)
 
     def normalized_volume(self) -> int:
-        base = self.vertices[0]
-        edges = IntMatrix.from_rows(
-            [tuple(v[i] - base[i] for i in range(self.dim)) for v in self.vertices[1:]])
-        return abs(determinant(edges))
+        return self.volume
 
     def point_index(self, p: Sequence[int]) -> int:
         return self.points.index(tuple(p))
 
 
 def _enumerate_points(vertices, dim):
-    """The lattice points, in sorted order, and the facets each lies on."""
+    """The lattice points, in sorted order, the facets each lies on, and
+    the normalized volume."""
     base = vertices[0]
     # The adjugate of the edge matrix gives every candidate's barycentric
     # coordinates times the determinant; only their signs matter, so the
@@ -107,7 +107,7 @@ def _enumerate_points(vertices, dim):
         if all(c >= 0 for c in coords):
             points.append(p)
             point_facets.append(frozenset(j for j, c in enumerate(coords) if c == 0))
-    return tuple(points), tuple(point_facets)
+    return tuple(points), tuple(point_facets), det
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,8 @@ class Triangulation:
                 raise NotUnimodular(f"cell {cell} names a point index outside "
                                     f"0..{len(pts) - 1}")
             base = pts[cell[0]]
-            det = determinant(IntMatrix.from_rows(
-                [tuple(pts[i][k] - base[k] for k in range(dim)) for i in cell[1:]]))
+            det = determinant(IntMatrix(
+                tuple(tuple(pts[i][k] - base[k] for k in range(dim)) for i in cell[1:])))
             if abs(det) != 1:
                 raise NotUnimodular(f"cell {cell} has normalized volume != 1")
             dets.append(det)
@@ -238,14 +238,6 @@ def apply_flip(t: Triangulation, move: FlipMove):
                                                   moves=(move,))
 
 
-def compose_certificates(c1: DerivedEquivalenceCertificate,
-                         c2: DerivedEquivalenceCertificate) -> DerivedEquivalenceCertificate:
-    if c1.target != c2.source:
-        raise IllegalFlip("certificates do not compose")
-    return DerivedEquivalenceCertificate(source=c1.source, target=c2.target,
-                                         moves=c1.moves + c2.moves)
-
-
 def cone_fan(t: Triangulation) -> Fan:
     """The smooth good fan whose rays are the simplex points at height one."""
     rays = [p + (1,) for p in t.simplex.points]
@@ -309,38 +301,6 @@ def quotient_simplex(generators: Iterable[Sequence], rank: Optional[int] = None)
     lows = [min(v[i] for v in vertices) for i in range(n - 1)]
     vertices = [tuple(v[i] - lows[i] for i in range(n - 1)) for v in vertices]
     return LatticeSimplex.from_vertices(vertices)
-
-
-def simplices_equivalent(s1: LatticeSimplex, s2: LatticeSimplex) -> bool:
-    """True when an integral-affine unimodular map carries one simplex,
-    with all its lattice points, onto the other."""
-    if s1.dim != s2.dim or len(s1.points) != len(s2.points):
-        return False
-    d = s1.dim
-    v1 = s1.vertices
-    base1 = v1[0]
-    # The map sending s1's edges from base1 to an ordering's edges is that
-    # ordering's edge matrix times the inverse of s1's, adj1 / det1: it is
-    # integral exactly when det1 divides the product with adj1.
-    det1, adj1 = adjugate([[v[i] - base1[i] for v in v1[1:]] for i in range(d)])
-    for perm in permutations(range(d + 1)):
-        v2 = [s2.vertices[i] for i in perm]
-        base2 = v2[0]
-        rows_a = [[sum((v[i] - base2[i]) * x for v, x in zip(v2[1:], column))
-                   for column in zip(*adj1)] for i in range(d)]
-        if any(x % det1 for row in rows_a for x in row):
-            continue
-        rows_a = [[x // det1 for x in row] for row in rows_a]
-        if abs(determinant(IntMatrix.from_rows(rows_a))) != 1:
-            continue
-
-        def image(p):
-            return tuple(sum(rows_a[i][j] * (p[j] - base1[j]) for j in range(d)) + base2[i]
-                         for i in range(d))
-
-        if sorted(image(p) for p in s1.points) == list(s2.points):
-            return True
-    return False
 
 
 def _height_normalizer(heights: list[int]) -> list[list[int]]:

@@ -14,12 +14,15 @@ facet incidence; the pairwise test of a star's wall connectivity the
 library used before it walked across walls; the three-letter order on
 the words of one chart, which the single-chart Čech poset must
 reproduce; and the one-system-at-a-time rational solves for quotient
-vertices and simplex equivalence the library used before it inverted each
-matrix once; and the surface flip certificate solved against Hermite forms
-and the dense Bareiss determinant the library used before it walked the
+vertices the library used before it inverted each matrix once; and the
+surface flip certificate solved against Hermite forms and the dense
+Bareiss determinant the library used before it walked the
 cycle of top cones and skipped unchanged rows; and the Gauss-Jordan
 elimination over Q and the Hermite-form integer solver the library used
-before every inverse came from one integer adjugate.  They are slow but
+before every inverse came from one integer adjugate; and the plane order
+by rational cotangents and the chart signature read through the chart's
+inverse the library used before it compared cross products and read the
+signature from wall relations.  They are slow but
 follow the definitions literally, so the fast code is checked against them.
 """
 
@@ -482,7 +485,7 @@ def unimodular_triangulations(simplex):
     return tuple(sorted(results, key=lambda t: t.cells))
 
 
-# --- quotient vertices and simplex maps, one rational system at a time -------
+# --- quotient vertices, one rational system at a time ------------------------
 
 def row_reduce(rows):
     """Reduced row echelon form over Q by exact Gauss-Jordan elimination.
@@ -553,31 +556,6 @@ def quotient_simplex(generators, rank=None):
     lows = [min(v[i] for v in vertices) for i in range(n - 1)]
     return LatticeSimplex.from_vertices(
         [tuple(v[i] - lows[i] for i in range(n - 1)) for v in vertices])
-
-
-def simplices_equivalent(s1, s2):
-    """Whether a unimodular affine map carries s1 with its points onto s2,
-    solving for the map row by row for every ordering of s2's vertices."""
-    if s1.dim != s2.dim or len(s1.points) != len(s2.points):
-        return False
-    d = s1.dim
-    base1 = s1.vertices[0]
-    cols_t = [[Fraction(s1.vertices[k + 1][j] - base1[j]) for j in range(d)]
-              for k in range(d)]
-    for perm in permutations(range(d + 1)):
-        v2 = [s2.vertices[i] for i in perm]
-        rows_a = [solve_fractions(cols_t, [Fraction(v2[k + 1][i] - v2[0][i]) for k in range(d)])
-                  for i in range(d)]
-        if any(x.denominator != 1 for row in rows_a for x in row):
-            continue
-        rows_a = [[int(x) for x in row] for row in rows_a]
-        if abs(determinant(IntMatrix.from_rows(rows_a))) != 1:
-            continue
-        image = sorted(tuple(sum(rows_a[i][j] * (p[j] - base1[j]) for j in range(d)) + v2[0][i]
-                             for i in range(d)) for p in s1.points)
-        if image == list(s2.points):
-            return True
-    return False
 
 
 # --- surface flip certificates by Hermite forms, dense Bareiss ---------------
@@ -662,3 +640,41 @@ def flip_certificate(f, g):
     for i in range(m):
         columns[k0][i] += t * z_g[i]
     return IntMatrix.from_columns(columns)
+
+
+# --- plane order by cotangents, chart signatures through the chart inverse ---
+
+def ccw_order(vectors, start):
+    """Indices of nonzero plane vectors, counter-clockwise by angle from
+    start, ties in input order, sorted by half turn and rational cotangent."""
+    def angle_key(i):
+        v = vectors[i]
+        cross = start[0] * v[1] - start[1] * v[0]
+        dot = start[0] * v[0] + start[1] * v[1]
+        if cross:
+            # Within either open half turn the cotangent dot/cross falls
+            # as the angle grows.
+            return (1 if cross > 0 else 3, Fraction(-dot, cross))
+        return (0 if dot > 0 else 2, 0)
+
+    return sorted(range(len(vectors)), key=angle_key)
+
+
+def chart_signature(fan):
+    """The chart signature of the isomorphism walk's first chart sigma0:
+    for each wall of sigma0, the sigma0 chart coordinates of the ray the
+    top cone across it adds, with the entry on the ray off the wall left
+    out; None for a boundary wall."""
+    sigma0, vinv = fan._isomorphism_walk[:2]
+    upper = fan._incidence.upper
+    signature = []
+    for k in range(len(sigma0)):
+        wall = sigma0[:k] + sigma0[k + 1:]
+        across = [top for top in upper[wall] if top != sigma0]
+        if across:
+            (added,) = [i for i in across[0] if i not in wall]
+            c = vinv.apply(fan.rays[added])
+            signature.append(c[:k] + c[k + 1:])
+        else:
+            signature.append(None)
+    return tuple(signature)

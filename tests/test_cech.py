@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 import oracles
 from torell import cech
-from torell.cech import cech_poset, classify, cohomology_witness, cover, poset_witness
+from torell.cech import cech_poset, cohomology_witness, cover, poset_witness
 from torell.errors import DisconnectedStar, NotGood, TooLarge
 from torell.fan import Fan
-from torell.fan_io import complete_surface_fan
+from torell.fan_io import cech_json, complete_surface_fan
 
 from conftest import (
     blowup_surfaces,
@@ -239,7 +239,7 @@ class TestCechPoset:
         for name, fan in corpus_fans.items():
             poset = cech_poset(fan)
             for e in poset.grading().get(fan.ambient_rank, ()):
-                assert len(e.support) == 1 and classify(e).smooth, name
+                assert len(e.support) == 1, name
 
     def test_meet_closed_and_antisymmetric(self, p2, corpus_fans):
         for fan in (p2, corpus_fans["p1xp1"]):
@@ -301,24 +301,44 @@ class TestClosedFormAgainstClosure:
                     assert poset.meet(e1, e2) == oracles.meet(poset.tops, e1, e2)
 
 
+def cech_report(fan):
+    """The poset, its witness and the result of the ``cech`` report, with
+    each element's ``smooth`` flag keyed by its support and words."""
+    poset = cech_poset(fan)
+    witness = poset_witness(poset)
+    result = cech_json(poset, witness)
+    smooth = {(tuple(c["element"]["support"]), tuple(c["element"]["words"])): c["smooth"]
+              for c in result["classification"]}
+    return poset, result, smooth
+
+
 class TestClassify:
     def test_spread_element_is_singular(self, p1):
         (spread,) = [e for e in cover(p1) if len(e.support) == 2]
-        result = classify(spread)
-        assert not result.smooth
-        assert len(result.components) == 2
+        _, result, smooth = cech_report(p1)
+        assert smooth[spread.support, spread.words] is False
+        (entry,) = result["witness"]["entries"]
+        assert entry["singular"]["words"] == list(spread.words)
+        assert len(entry["components"]) == 2
 
     def test_two_letter_words_smooth(self, p1):
-        for e in cech_poset(p1).elements:
+        poset, _, smooth = cech_report(p1)
+        assert len(smooth) == len(poset.elements)
+        for e in poset.elements:
             if len(e.support) == 1:
-                assert classify(e).smooth
+                assert smooth[e.support, e.words] is True
 
     def test_grade_one_two_support_on_surface(self, p2):
-        poset = cech_poset(p2)
+        poset, result, smooth = cech_report(p2)
+        singular = {}
         for e in poset.grading()[1]:
-            assert classify(e).smooth == (len(e.support) == 1)
-            if not classify(e).smooth:
-                assert classify(e).divisor_positions is not None
+            assert smooth[e.support, e.words] == (len(e.support) == 1)
+            if len(e.support) > 1:
+                # Each word holds one "a"; its places are the divisor positions.
+                singular[e.support, e.words] = [w.index("a") for w in e.words]
+        entries = {(tuple(w["singular"]["support"]), tuple(w["singular"]["words"])):
+                   w["divisor_positions"] for w in result["witness"]["entries"]}
+        assert singular and entries == singular
 
 
 class TestWitness:

@@ -194,6 +194,17 @@ def test_options_a_command_does_not_read_exit_two():
         assert "Traceback" not in proc.stderr and not proc.stdout
 
 
+def test_errors_after_parsing_name_the_operand(tmp_path):
+    path = tmp_path / "notgood.fan.json"
+    path.write_text(json.dumps({"schema_version": "1", "ambient_rank": 2,
+                                "rays": [[1, 0], [1, 2]], "cones": [[0, 1]]}))
+    for command in ("invariant", "gkm", "cech"):
+        assert_input_error(run_cli(command, str(path)), f"error: {path}: ", "good")
+    assert_input_error(run_cli("compare", "p2", str(path)), f"error: {path}: ", "good")
+    assert_input_error(run_cli("compare", "p2", "affine3"),
+                       "error: p2 vs affine3: ambient ranks differ: 2 vs 3")
+
+
 def test_directory_operand_exits_two(tmp_path):
     assert_input_error(run_cli("validate", str(tmp_path)), str(tmp_path))
 
@@ -286,6 +297,13 @@ def flop_on(tmp_path, doc):
     return run_cli("flop", str(path), "--list")
 
 
+def test_triangulation_errors_name_the_operand(tmp_path):
+    # Points of the quotient triangle in sorted order: cell (0, 2, 5) is
+    # the whole triangle, of normalized volume 4.
+    doc = mu2_document(cells=lambda _: [[0, 2, 5]])
+    assert_input_error(flop_on(tmp_path, doc), f"error: {tmp_path / 'tri.json'}: cell (0, 2, 5)")
+
+
 def test_triangulation_cells_not_a_list_exit_two(tmp_path):
     assert_input_error(flop_on(tmp_path, mu2_document(cells=lambda _: 5)), "cells")
 
@@ -345,7 +363,7 @@ LAYERS_LOADED = {
     ("validate", "no-such-corpus-fan"): set(),
 }
 
-LOADED_BY_MAIN = """
+RUN_MAIN = """
 import contextlib, io, sys
 import torell.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -353,6 +371,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         torell.cli.main(sys.argv[1:])
     except SystemExit:
         pass
+"""
+LOADED_BY_MAIN = RUN_MAIN + """
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "torell")))
 """
 
@@ -371,3 +391,14 @@ def test_each_command_loads_only_its_layers():
 def test_importing_the_package_loads_no_submodule():
     code = "import sys, torell\nprint(*[m for m in sys.modules if m.split('.')[0] == 'torell'])"
     assert torell_modules_after(code) == {"torell"}
+
+
+def test_commands_on_fans_load_no_rational_arithmetic():
+    # Plane order and every inverse are integer-only; only group weights
+    # (mckay-example) are read as fractions.
+    code = RUN_MAIN + """
+print(*[m for m in ("fractions", "decimal") if m in sys.modules])
+"""
+    for argv in (("validate", "p2"), ("invariant", "p2"), ("compare", "p2", "p1xp1"),
+                 ("gkm", "p2"), ("cech", "p1")):
+        assert torell_modules_after(code, *argv) == set(), argv

@@ -98,6 +98,19 @@ class TestPlaneFanAxiom:
         with pytest.raises(MalformedFan, match=r"ray \(1, 0\) lies inside cone \(1, 2\)"):
             Fan.from_cones(2, [(1, 0), (0, -1), (1, 1)], [(0,), (1, 2)])
 
+    def test_cross_product_order_is_the_cotangent_order(self):
+        # Vectors are drawn as multiples of a few directions, so many share
+        # an angle, with each other and with the start and its opposite.
+        rng = random.Random(61)
+        for _ in range(300):
+            directions = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(6)]
+            directions = [d for d in directions if any(d)]
+            start = rng.choice(directions)
+            vectors = [(k * d[0], k * d[1]) for d in directions
+                       for k in rng.sample([-3, -2, -1, 1, 2, 3], 3)]
+            rng.shuffle(vectors)
+            assert fan_mod.ccw_order(vectors, start) == oracles.ccw_order(vectors, start)
+
     def test_corpus_and_surfaces_accepted(self, corpus_fans):
         assert not validate(Fan(2, (), frozenset({()}))).good      # no rays at all
         fans = [f for f in corpus_fans.values() if f.ambient_rank == 2] + blowup_surfaces()
@@ -216,13 +229,13 @@ class TestChart:
     matrix, and the other rays in that chart's coordinates."""
 
     def test_first_quadrant_identity(self, corpus_fans):
-        sigma0, vinv, steps = corpus_fans["affine2"]._isomorphism_walk
+        sigma0, vinv, steps, _ = corpus_fans["affine2"]._isomorphism_walk
         assert sigma0 == (0, 1) and vinv == IntMatrix.identity(2) and steps == ()
 
     def test_projective_plane_chart(self):
         # P^2 with rays listed so that the first top cone is (0,1), (-1,-1).
         fan = Fan.from_cones(2, [(0, 1), (-1, -1), (1, 0)], [(0, 1), (1, 2), (0, 2)])
-        sigma0, vinv, steps = fan._isomorphism_walk
+        sigma0, vinv, steps, _ = fan._isomorphism_walk
         assert sigma0 == (0, 1)
         assert vinv.apply((0, 1)) == (1, 0)
         assert vinv.apply((-1, -1)) == (0, 1)
@@ -232,7 +245,7 @@ class TestChart:
     def test_round_trip_on_corpus(self, corpus_fans):
         for fan in corpus_fans.values():
             n = fan.ambient_rank
-            sigma0, vinv, steps = fan._isomorphism_walk
+            sigma0, vinv, steps, _ = fan._isomorphism_walk
             assert abs(determinant(vinv)) == 1
             for j, i in enumerate(sigma0):
                 expected = tuple(1 if k == j else 0 for k in range(n))
@@ -246,7 +259,7 @@ class TestChart:
         # Charts are taken only of top cones: the walk visits each top cone
         # once, and every ray once.
         for fan in corpus_fans.values():
-            sigma0, _, steps = fan._isomorphism_walk
+            sigma0, _, steps, _ = fan._isomorphism_walk
             assert sorted([sigma0] + [top for top, _ in steps]) == list(fan.top_cones())
             assert sorted([*sigma0, *(i for _, new in steps for i, _ in new)]) == \
                 list(range(len(fan.rays)))

@@ -238,8 +238,15 @@ class TestChartIndex:
             m = oracles.fan_isomorphic(f, g)
             if m is not None:
                 found += 1
-                assert image_code(f, g, m) in g._chart_index[fan_module._chart_signature(f)]
+                assert image_code(f, g, m) in g._chart_index[f._isomorphism_walk[3]]
         assert found > 100
+
+    def test_the_walk_keeps_the_signature_the_chart_inverse_reads(self, corpus_fans):
+        fans = ([f for f in corpus_fans.values() if f.is_good()] + blowup_surfaces()
+                + three_delta_cone_fans()[::4]
+                + [without_first_top_cone(f) for f in blowup_surfaces()[:6]])
+        for f in fans:
+            assert f._isomorphism_walk[3] == oracles.chart_signature(f)
 
     def test_ranks_one_and_three_and_fans_that_are_not_proper(self, corpus_fans):
         fans = [corpus_fans[name] for name in ("affine1", "p1", "affine2", "affine3",
