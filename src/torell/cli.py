@@ -269,11 +269,11 @@ def _cmd_mckay(args) -> int:
     from . import triang
 
     if args.generators is None and args.rank is None:
-        gens = triang.mu2_kernel_generators()
+        gens, label = triang.mu2_kernel_generators(), "built-in"
     elif args.generators is None:
-        gens = []
+        gens, label = [], f"rank {args.rank}"
     else:
-        gens = _parse_generators(args.generators)
+        gens, label = _parse_generators(args.generators), args.generators
     simplex = triang.quotient_simplex(gens, rank=args.rank)
     result = {"simplex": fan_io.simplex_json(simplex)}
     if simplex.dim <= 2 and len(simplex.points) <= 12:
@@ -285,8 +285,9 @@ def _cmd_mckay(args) -> int:
              f"normalized volume {simplex.normalized_volume()}"]
     if "triangulation_count" in result:
         lines.append(f"unimodular triangulations: {result['triangulation_count']}")
-    label = args.generators if args.generators is not None else "built-in"
-    _emit(fan_io.make_report("mckay-example", [(label, str(gens).encode())], result),
+    # Digested as text: the rank, then one line of weights per generator.
+    group = f"rank {simplex.dim + 1}\n" + "".join(",".join(map(str, g)) + "\n" for g in gens)
+    _emit(fan_io.make_report("mckay-example", [(label, group.encode())], result),
           args.format, lines)
     return 0
 

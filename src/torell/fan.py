@@ -7,9 +7,9 @@ queries are pure functions.
 
 What a ``Fan`` derives once and keeps for its lifetime:
 
-* at construction, from the facets and determinants its checks compute:
-  its maximal and top cones, wall incidence (each wall's top cones),
-  smoothness, goodness and properness;
+* at construction, from the facets its closure walk meets and the
+  determinants its checks compute: its maximal and top cones, wall
+  incidence (each wall's top cones), smoothness, goodness and properness;
 * on first use, its walls, each with its span and, when first read, its
   primitive normal;
 * on first use, its interior wall spans, sorted;
@@ -32,8 +32,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
-from itertools import combinations, permutations
-from operator import mul
+from itertools import permutations
+from operator import index, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import WORK_LIMIT, MalformedFan, NotGood, TooLarge, TorellError
@@ -52,8 +52,18 @@ from .lattice import (
 Cone = tuple  # sorted tuple of ray indices
 
 
+def as_integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as ints by ``operator.index``: no float or string is read."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        bad = next(x for x in values if not hasattr(type(x), "__index__"))
+        raise MalformedFan(f"{what} {bad!r} is not an integer") from None
+
+
 def _normalize_cone(cone: Sequence[int], nrays: int, rank: int) -> Cone:
-    cone = tuple(sorted(int(i) for i in cone))
+    cone = tuple(sorted(as_integers(cone, "ray index")))
     if len(set(cone)) != len(cone):
         raise MalformedFan(f"repeated ray index in cone {cone}")
     if cone and (cone[0] < 0 or cone[-1] >= nrays):
@@ -85,11 +95,6 @@ def ccw_order(vectors: Sequence[Sequence[int]], start: Sequence[int]) -> list[in
         return halves[i] - halves[j] or u1 * v0 - u0 * v1
 
     return sorted(range(len(vectors)), key=cmp_to_key(before))
-
-
-def _facets(cones: Iterable[Cone]) -> set[Cone]:
-    """Every cone obtained by dropping one ray from a listed cone."""
-    return {c[:i] + c[i + 1:] for c in cones for i in range(len(c))}
 
 
 def facet_sides(cells: Sequence[Cone], dets: Sequence[int]
@@ -142,7 +147,8 @@ class _Incidence:
 
 @dataclass(frozen=True)
 class Fan:
-    """A simplicial fan in Z^ambient_rank, closed under taking faces."""
+    """A simplicial fan in Z^ambient_rank, built from generating cones; its
+    constructor completes their faces and reads the maximal cones off that walk."""
 
     ambient_rank: int
     rays: tuple[tuple[int, ...], ...]
@@ -151,10 +157,30 @@ class Fan:
 
     def __post_init__(self):
         n = self.ambient_rank
+        rays = tuple(as_integers(r, "ray coordinate") for r in self.rays)
+        # One walk closes the cones under faces, each cone read once and a
+        # cone with more rays than the rank refused before any face is built.
+        # The cones it never meets as a facet are the maximal ones.
+        closed = {()}
+        closed.update(_normalize_cone(cone, len(rays), n) for cone in self.cones)
+        facets = set()
+        reached = list(closed)             # grows as it is read
+        for cone in reached:
+            for i in range(len(cone)):
+                facet = cone[:i] + cone[i + 1:]
+                facets.add(facet)
+                if facet not in closed:
+                    closed.add(facet)
+                    reached.append(facet)
+            if len(closed) > WORK_LIMIT:
+                raise TooLarge(f"the cones and their faces number more than "
+                               f"the limit of {WORK_LIMIT}")
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "cones", frozenset(closed))
         if n < 1:
             raise MalformedFan("ambient rank must be at least 1")
         seen = set()
-        for ray in self.rays:
+        for ray in rays:
             if len(ray) != n:
                 raise MalformedFan(f"ray {ray} does not live in Z^{n}")
             if not any(ray):
@@ -164,25 +190,13 @@ class Fan:
             if ray in seen:
                 raise MalformedFan(f"repeated ray {ray}")
             seen.add(ray)
-        if () not in self.cones:
-            raise MalformedFan("the zero cone is missing")
-        # Closed under facets means closed under faces, and the faces of an
-        # independent set are independent: only maximal cones need a rank,
-        # and n rays are independent when their determinant is nonzero.
-        facets = _facets(self.cones)
-        used = set()
+        # The faces of an independent set are independent, so only maximal
+        # cones need a rank, and n rays are independent when their
+        # determinant is nonzero.
+        maximal = tuple(sorted(closed - facets))
         dets = {}                       # top cone -> its determinant
-        for cone in self.cones:
-            if _normalize_cone(cone, len(self.rays), n) != cone:
-                raise MalformedFan(f"cone {cone} is not a sorted index tuple")
-            used.update(cone)
-            for i in range(len(cone)):
-                facet = cone[:i] + cone[i + 1:]
-                if facet not in self.cones:
-                    raise MalformedFan(f"face {facet} of {cone} is missing")
-            if cone in facets:
-                continue
-            rows = [self.rays[i] for i in cone]
+        for cone in maximal:
+            rows = [rays[i] for i in cone]
             if len(cone) == n:
                 dets[cone] = determinant(IntMatrix(tuple(rows)))
                 independent = dets[cone] != 0
@@ -190,64 +204,10 @@ class Fan:
                 independent = integer_rank(rows, n) == len(cone)
             if not independent:
                 raise MalformedFan(f"rays of cone {cone} are linearly dependent")
-        if used != set(range(len(self.rays))):
+        if set().union(*maximal) != set(range(len(rays))):
             raise MalformedFan("some listed ray appears in no cone")
         if n == 2:
-            self._check_plane_cones()
-        object.__setattr__(self, "_incidence", self._derive_incidence(facets, dets))
-
-    def _check_plane_cones(self):
-        """Refuse a 2-cone with a ray of the fan strictly inside it.
-
-        Two planar cones, each narrower than a half turn, meet in a common
-        face exactly when neither holds another's ray in its interior, so
-        this is the fan axiom in the plane: the two rays of every 2-cone
-        must be neighbours in the counter-clockwise order of all rays,
-        read from the ray where the cone's short angle starts.
-        """
-        order = ccw_order(self.rays, (1, 0))
-        after = {r: order[(k + 1) % len(order)] for k, r in enumerate(order)}
-        for cone in self.cones:
-            if len(cone) != 2:
-                continue
-            i, j = cone
-            (u0, u1), (v0, v1) = self.rays[i], self.rays[j]
-            first, second = (i, j) if u0 * v1 - u1 * v0 > 0 else (j, i)
-            if after[first] != second:
-                raise MalformedFan(
-                    f"ray {self.rays[after[first]]} lies inside cone {cone}")
-
-    @classmethod
-    def from_cones(cls, ambient_rank: int, rays: Iterable[Sequence[int]],
-                   cones: Iterable[Sequence[int]]) -> "Fan":
-        """Build a fan from generating cones; faces are completed.
-
-        A cone with more rays than the rank is refused before any face is
-        built.  The faces are closed one facet at a time, each cone once,
-        and a closure of more than WORK_LIMIT cones raises TooLarge as soon
-        as it passes the limit.
-        """
-        rays = tuple(tuple(int(x) for x in r) for r in rays)
-        closed = {()}
-        closed.update(_normalize_cone(cone, len(rays), ambient_rank) for cone in cones)
-        reached = list(closed)             # grows as it is read
-        for cone in reached:
-            if not cone:
-                continue
-            for facet in combinations(cone, len(cone) - 1):
-                if facet not in closed:
-                    closed.add(facet)
-                    reached.append(facet)
-            if len(closed) > WORK_LIMIT:
-                raise TooLarge(f"the cones and their faces number more than "
-                               f"the limit of {WORK_LIMIT}")
-        return cls(ambient_rank, rays, frozenset(closed))
-
-    # -- queries ----------------------------------------------------------
-
-    def _derive_incidence(self, facets: set[Cone], dets: dict[Cone, int]) -> _Incidence:
-        n = self.ambient_rank
-        maximal = tuple(sorted(c for c in self.cones if c not in facets))
+            self._check_plane_cones(maximal)
         # No n-cone is a facet, so the top cones are the maximal n-cones.
         tops = tuple(c for c in maximal if len(c) == n)
         # Rank 1 has two opposite rays at most, and in rank 2 two cones on
@@ -260,12 +220,41 @@ class Fan:
                                f"side of their common wall {wall}")
         # Keyed by the fan's own wall tuples, so no copies are kept, and
         # inserted in sorted order, so walls() need not sort.
-        upper = {w: on.get(w, ()) for w in sorted(c for c in self.cones if len(c) == n - 1)}
+        upper = {w: on.get(w, ()) for w in sorted(c for c in closed if len(c) == n - 1)}
         smooth = all(abs(d) == 1 for d in dets.values())
         # Good: smooth, and every maximal cone is top-dimensional.
         good = smooth and len(tops) == len(maximal)
         proper = bool(tops) and all(len(u) == 2 for u in upper.values())
-        return _Incidence(maximal, tops, upper, smooth, good, proper)
+        object.__setattr__(self, "_incidence",
+                           _Incidence(maximal, tops, upper, smooth, good, proper))
+
+    def _check_plane_cones(self, maximal: tuple[Cone, ...]):
+        """Refuse a 2-cone with a ray of the fan strictly inside it.
+
+        Two planar cones, each narrower than a half turn, meet in a common
+        face exactly when neither holds another's ray in its interior, so
+        this is the fan axiom in the plane: the two rays of every 2-cone
+        must be neighbours in the counter-clockwise order of all rays,
+        read from the ray where the cone's short angle starts.  In the
+        plane every 2-cone is maximal.
+        """
+        order = ccw_order(self.rays, (1, 0))
+        after = {r: order[(k + 1) % len(order)] for k, r in enumerate(order)}
+        for cone in (c for c in maximal if len(c) == 2):
+            i, j = cone
+            (u0, u1), (v0, v1) = self.rays[i], self.rays[j]
+            first, second = (i, j) if u0 * v1 - u1 * v0 > 0 else (j, i)
+            if after[first] != second:
+                raise MalformedFan(
+                    f"ray {self.rays[after[first]]} lies inside cone {cone}")
+
+    @classmethod
+    def from_cones(cls, ambient_rank: int, rays: Iterable[Sequence[int]],
+                   cones: Iterable[Sequence[int]]) -> "Fan":
+        """Build a fan from generating cones, as the constructor does."""
+        return cls(ambient_rank, rays, cones)
+
+    # -- queries ----------------------------------------------------------
 
     @cached_property
     def _walls(self) -> tuple[Wall, ...]:
@@ -421,8 +410,7 @@ class Wall:
 
 def validate(fan: Fan) -> FanReport:
     """Classify a structurally valid fan as smooth / good / proper."""
-    smooth = fan.is_smooth()
-    return FanReport(smooth=smooth, good=fan.is_good(), proper=fan.is_proper())
+    return FanReport(smooth=fan.is_smooth(), good=fan.is_good(), proper=fan.is_proper())
 
 
 def walls(fan: Fan) -> tuple[Wall, ...]:

@@ -15,12 +15,13 @@ import re
 import sys
 from contextlib import contextmanager
 from importlib import resources
+from itertools import zip_longest
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .errors import MalformedFan, ParseError, SchemaError, TorellError
-from .fan import Fan, FanReport, ccw_order
+from .fan import Fan, FanReport, as_integers, ccw_order
 from .lattice import SublatticeClass, primitive_normal
 
 if TYPE_CHECKING:
@@ -108,7 +109,7 @@ def _fan_from_dict(doc) -> Fan:
         for i in cone:
             if not 0 <= i < len(rays):
                 raise SchemaError(f"cone {cone} references missing ray index {i}")
-    return Fan.from_cones(n, [tuple(r) for r in rays], [tuple(c) for c in cones])
+    return Fan.from_cones(n, rays, cones)
 
 
 _RAY_GROUP = re.compile(r"\(([^()]*)\)")
@@ -141,7 +142,7 @@ def complete_surface_fan(rays: Sequence[Sequence[int]]) -> Fan:
     Rays are sorted by angle and consecutive pairs span the top cones, so
     this is the unique complete simplicial fan on the given rays.
     """
-    rays = [tuple(int(x) for x in r) for r in rays]
+    rays = [as_integers(r, "ray coordinate") for r in rays]
     if any(len(r) != 2 for r in rays):
         raise SchemaError("ray-list input builds surface fans only")
     if not all(any(r) for r in rays):
@@ -379,6 +380,15 @@ def parse_triangulation(data) -> Triangulation:
     _check_int_lists(doc, "vertices", "an integer vector")
     _check_int_lists(doc, "cells", "a list of point indices")
     simplex = LatticeSimplex.from_vertices([tuple(v) for v in doc["vertices"]])
+    if "points" in doc:
+        # The cells index the points, so only torell's own order is read.
+        _check_int_lists(doc, "points", "an integer vector")
+        expected = [list(p) for p in simplex.points]
+        for k, pair in enumerate(zip_longest(doc["points"], expected)):
+            if pair[0] != pair[1]:
+                given, point = ("absent" if x is None else json.dumps(x) for x in pair)
+                raise SchemaError(f"points[{k}] is {given}, not {point}: points must be "
+                                  f"the simplex's lattice points in sorted order")
     cells = tuple(sorted(tuple(sorted(c)) for c in doc["cells"]))
     for cell in cells:
         for i in cell:

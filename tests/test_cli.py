@@ -1,5 +1,6 @@
 """End-to-end command-line checks over the built-in corpus."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -129,6 +130,18 @@ def test_mckay_example_antidiagonal():
     payload = json.loads(proc.stdout)
     assert payload["result"]["simplex"]["normalized_volume"] == 4
     assert payload["result"]["triangulation_count"] == 1
+
+
+def test_mckay_example_inputs_name_and_digest_each_group():
+    # The digest is taken over the group as text: its rank, then each
+    # generator's weights written as fractions.
+    groups = {("mckay-example",): ("built-in", "rank 3\n1/2,1/2,0\n1/2,0,1/2\n"),
+              ("mckay-example", "--rank", "2"): ("rank 2", "rank 2\n"),
+              ("mckay-example", "--rank", "5"): ("rank 5", "rank 5\n"),
+              ("mckay-example", "--generators", "2/4,-1/2"): ("2/4,-1/2", "rank 2\n1/2,-1/2\n")}
+    for argv, (name, text) in groups.items():
+        (entry,) = json.loads(run_cli(*argv).stdout)["inputs"]
+        assert entry == {"name": name, "sha256": hashlib.sha256(text.encode()).hexdigest()}, argv
 
 
 def test_input_errors_exit_two():

@@ -11,6 +11,7 @@ import oracles
 from torell import fan as fan_mod
 from torell.errors import MalformedFan, NotGood, TooLarge
 from torell.fan import Fan, fan_isomorphic, validate, walls
+from torell.fan_io import complete_surface_fan
 from torell.lattice import IntMatrix, determinant, saturate
 from torell.triang import apply_flip, cone_fan, flips, quotient_simplex, unimodular_triangulations
 
@@ -21,6 +22,7 @@ from conftest import (
     planted_fan_data,
     random_fan_data,
     shuffled_fan,
+    three_delta_cone_fans,
 )
 
 
@@ -70,6 +72,21 @@ class TestValidate:
             # Refused before any face is built: closing first builds 2^40.
             Fan.from_cones(2, [(1, k) for k in range(40)], [range(40)])
 
+    def test_non_integers_refused(self):
+        # Read by operator.index: a float is not truncated, a string not parsed.
+        rays, cones = [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]
+        with pytest.raises(MalformedFan, match=r"ray coordinate 1\.7 is not an integer"):
+            Fan.from_cones(2, [(1.7, 0)] + rays[1:], cones)
+        with pytest.raises(MalformedFan, match=r"ray coordinate '1' is not an integer"):
+            Fan(2, [("1", 0)] + rays[1:], cones)
+        with pytest.raises(MalformedFan, match=r"ray index 0\.9 is not an integer"):
+            Fan.from_cones(2, rays, [(0.9, 1.2)] + cones[1:])
+        with pytest.raises(MalformedFan, match=r"ray index '2' is not an integer"):
+            Fan(2, rays, cones[:2] + [(0, "2")])
+        with pytest.raises(MalformedFan, match=r"ray coordinate 1\.9 is not an integer"):
+            complete_surface_fan([(1.9, 0)] + rays[1:])
+        assert Fan(2, [(True, 0)] + rays[1:], cones).rays == tuple(rays)
+
 
 class TestFaceClosure:
     def test_closure_over_the_limit_refused(self):
@@ -77,6 +94,19 @@ class TestFaceClosure:
         rays = [tuple(int(i == j) for j in range(17)) for i in range(17)]
         with pytest.raises(TooLarge):
             Fan.from_cones(17, rays, [range(17)])
+
+    def test_generating_cones_build_the_same_fan(self, corpus_fans):
+        fans = list(corpus_fans.values()) + blowup_surfaces() + three_delta_cone_fans()
+        for fan in fans:
+            n = fan.ambient_rank
+            assert Fan(n, fan.rays, fan.maximal_cones()) == fan
+            # Lists in place of tuples, cones unsorted and in reverse order,
+            # and one cone listed with a face of it.
+            rays = [list(r) for r in fan.rays]
+            cones = [list(reversed(c)) for c in reversed(fan.maximal_cones())]
+            built = Fan(n, rays, cones + [cones[0][1:]])
+            assert built == fan and validate(built) == validate(fan)
+            assert built.maximal_cones() == oracles.maximal_cones(fan)
 
     def test_a_closure_of_exactly_the_limit_is_built(self, monkeypatch, corpus_fans):
         fan = corpus_fans["affine3"]                   # 8 cones

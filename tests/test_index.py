@@ -10,7 +10,6 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from torell import fan as fan_module
 from torell import lattice
 from torell.ellinv import compare, ell_shadow, incidence_matrix
 from torell.errors import MalformedFan, NotGood, RankMismatch
@@ -107,17 +106,15 @@ class TestIndexAgainstScans:
 
     def test_one_determinant_per_top_cone_and_one_facet_pass(self, monkeypatch):
         # Smoothness reads the determinants the independence check takes,
-        # and the maximal cones come from the facets it lists.
+        # and the maximal cones come from the facets the closure walk meets.
         surface = blowup_surfaces()[5]
         calls = Counter()
-        for module, name in ((lattice, "_bareiss"), (fan_module, "_facets")):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda arg, real=real, name=name: calls.update([name]) or real(arg))
+        real = lattice._bareiss
+        monkeypatch.setattr(lattice, "_bareiss", lambda arg: calls.update(["_bareiss"]) or real(arg))
         fan = Fan.from_cones(2, surface.rays, surface.maximal_cones())
         assert validate(fan) == validate(surface)
         assert fan.maximal_cones() == surface.maximal_cones()
-        assert calls == {"_bareiss": len(fan.top_cones()), "_facets": 1}
+        assert calls == {"_bareiss": len(fan.top_cones())}
 
     @settings(max_examples=300, deadline=None)
     @given(random_fans())
@@ -132,9 +129,9 @@ class TestValidationAgainstFaceScan:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_random_cone_sets(self, data):
-        # Cone sets that need not be closed under faces: checking facets and
-        # the ranks of maximal cones accepts exactly what checking every
-        # face and every cone accepts.
+        # Cone sets that need not be closed under faces: the constructor
+        # closes them, and checking the ranks of the maximal cones accepts
+        # exactly what checking every cone of the closure accepts.
         n = data.draw(st.integers(1, 3))
         if n == 3 and data.draw(st.booleans()):
             # Closed rank-3 cone sets with cones planted on a wall.
@@ -149,16 +146,21 @@ class TestValidationAgainstFaceScan:
                 st.sets(st.integers(0, len(rays) - 1), max_size=n).map(lambda c: tuple(sorted(c))),
                 max_size=12))
             cones = frozenset(cones | {()} | {(i,) for i in range(len(rays))})
+        closure = frozenset(face for c in cones for k in range(len(c) + 1)
+                            for face in combinations(c, k))
         try:
-            Fan(n, tuple(rays), cones)
-            accepted = True
+            fan = Fan(n, tuple(rays), cones)
         except MalformedFan:
-            accepted = False
+            fan = None
         # In the plane the cones must also meet in common faces; in rank 3
         # the top cones on one wall must lie on pairwise different sides.
-        assert accepted == (oracles.closed_and_independent(n, rays, cones)
-                            and not (n == 2 and oracles.overlapping_cones(rays, cones))
-                            and not (n == 3 and oracles.one_sided_wall(n, rays, cones)))
+        assert (fan is not None) == (
+            oracles.closed_and_independent(n, rays, closure)
+            and not (n == 2 and oracles.overlapping_cones(rays, closure))
+            and not (n == 3 and oracles.one_sided_wall(n, rays, closure)))
+        if fan is not None:
+            assert fan.cones == closure
+            assert_agrees(fan)
 
 
 class TestFanIsomorphicAgainstScan:

@@ -127,6 +127,31 @@ class TestRoundTrip:
         doc = json.dumps(triangulation_json(t))
         assert parse_triangulation(doc) == t
 
+    def test_triangulation_points_in_another_order_refused(self):
+        # The flipped mu2-kernel triangulation with its points sorted by
+        # (y, x) and its cells indexing that order is a different valid
+        # triangulation, so the points must be torell's own order.
+        _, flipped = mu2_kernel_triangulations()
+        points = flipped.simplex.points
+        order = sorted(points, key=lambda p: (p[1], p[0]))
+        doc = triangulation_json(flipped)
+        doc["points"] = [list(p) for p in order]
+        doc["cells"] = [[order.index(points[i]) for i in c] for c in flipped.cells]
+        with pytest.raises(SchemaError, match=r"points\[1\] is \[1, 0\], not \[0, 1\]"):
+            parse_triangulation(json.dumps(doc))
+        doc = triangulation_json(flipped)
+        doc["points"].append([3, 3])
+        with pytest.raises(SchemaError, match=r"points\[6\] is \[3, 3\], not absent"):
+            parse_triangulation(json.dumps(doc))
+        del doc["points"][-2:]
+        with pytest.raises(SchemaError, match=r"points\[5\] is absent, not \[2, 0\]"):
+            parse_triangulation(json.dumps(doc))
+        doc["points"] = [[0, 0], ["0", 1]]
+        with pytest.raises(SchemaError, match=r"points\[1\]"):
+            parse_triangulation(json.dumps(doc))
+        del doc["points"]
+        assert parse_triangulation(json.dumps(doc)) == flipped
+
     def test_triangulation_bad_index(self):
         t, _ = mu2_kernel_triangulations()
         doc = triangulation_json(t)
