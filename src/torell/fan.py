@@ -19,7 +19,9 @@ What a ``Fan`` derives once and keeps for its lifetime:
 * the isomorphism walk: a first chart, its inverse, the other top cones
   in breadth-first order across walls with the chart coordinates of the
   rays they add, and the first chart's signature;
-* the chart-signature index: every ordered top cone, keyed by the chart
+* the chart-signature index: every ordered top cone, a tuple of ray
+  indices, keyed by its chart signature.  One function, ``_chart_key``,
+  builds every signature, for the index and for the walk alike: the chart
   coordinates of the rays its neighbours across walls add.
 
 Only these immutable tuples and the index are shared between calls.
@@ -33,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
 from itertools import permutations
-from operator import index, mul
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import WORK_LIMIT, MalformedFan, NotGood, TooLarge, TorellError
@@ -41,29 +43,20 @@ from .lattice import (
     IntMatrix,
     SublatticeClass,
     adjugate,
+    as_integers,
     determinant,
-    integer_rank,
     inverse_unimodular,
     is_primitive,
     primitive_normal,
+    saturate,
     span_class,
 )
 
 Cone = tuple  # sorted tuple of ray indices
 
 
-def as_integers(values: Iterable, what: str) -> tuple[int, ...]:
-    """The values as ints by ``operator.index``: no float or string is read."""
-    values = tuple(values)
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        bad = next(x for x in values if not hasattr(type(x), "__index__"))
-        raise MalformedFan(f"{what} {bad!r} is not an integer") from None
-
-
 def _normalize_cone(cone: Sequence[int], nrays: int, rank: int) -> Cone:
-    cone = tuple(sorted(as_integers(cone, "ray index")))
+    cone = tuple(sorted(as_integers(cone, "ray index", MalformedFan)))
     if len(set(cone)) != len(cone):
         raise MalformedFan(f"repeated ray index in cone {cone}")
     if cone and (cone[0] < 0 or cone[-1] >= nrays):
@@ -156,8 +149,8 @@ class Fan:
     _incidence: _Incidence = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.ambient_rank
-        rays = tuple(as_integers(r, "ray coordinate") for r in self.rays)
+        (n,) = as_integers((self.ambient_rank,), "ambient rank", MalformedFan)
+        rays = tuple(as_integers(r, "ray coordinate", MalformedFan) for r in self.rays)
         # One walk closes the cones under faces, each cone read once and a
         # cone with more rays than the rank refused before any face is built.
         # The cones it never meets as a facet are the maximal ones.
@@ -175,6 +168,7 @@ class Fan:
             if len(closed) > WORK_LIMIT:
                 raise TooLarge(f"the cones and their faces number more than "
                                f"the limit of {WORK_LIMIT}")
+        object.__setattr__(self, "ambient_rank", n)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "cones", frozenset(closed))
         if n < 1:
@@ -190,18 +184,22 @@ class Fan:
             if ray in seen:
                 raise MalformedFan(f"repeated ray {ray}")
             seen.add(ray)
-        # The faces of an independent set are independent, so only maximal
-        # cones need a rank, and n rays are independent when their
-        # determinant is nonzero.
+        # Faces keep independence, and faces of a set that extends to a
+        # lattice basis extend to one, so only maximal cones are checked: n
+        # rays by their determinant, fewer by their span and its saturation.
         maximal = tuple(sorted(closed - facets))
         dets = {}                       # top cone -> its determinant
+        smooth = True
         for cone in maximal:
             rows = [rays[i] for i in cone]
             if len(cone) == n:
                 dets[cone] = determinant(IntMatrix(tuple(rows)))
                 independent = dets[cone] != 0
+                smooth = smooth and abs(dets[cone]) == 1
             else:
-                independent = integer_rank(rows, n) == len(cone)
+                span = span_class(rows, n)
+                independent = span.rank == len(cone)
+                smooth = smooth and span == saturate(rows, n)
             if not independent:
                 raise MalformedFan(f"rays of cone {cone} are linearly dependent")
         if set().union(*maximal) != set(range(len(rays))):
@@ -221,7 +219,6 @@ class Fan:
         # Keyed by the fan's own wall tuples, so no copies are kept, and
         # inserted in sorted order, so walls() need not sort.
         upper = {w: on.get(w, ()) for w in sorted(c for c in closed if len(c) == n - 1)}
-        smooth = all(abs(d) == 1 for d in dets.values())
         # Good: smooth, and every maximal cone is top-dimensional.
         good = smooth and len(tops) == len(maximal)
         proper = bool(tops) and all(len(u) == 2 for u in upper.values())
@@ -288,67 +285,39 @@ class Fan:
         return tuple(line for line, _, _ in rows), tuple(i for _, _, i in rows)
 
     @cached_property
-    def _chart_index(self) -> dict[tuple, tuple[int, ...]]:
-        """Every ordered top cone of a good fan, keyed by its chart signature.
-
-        The signature of an ordered top cone (t_0, ..., t_{n-1}) lists, for
-        each k, the ray that the top cone across the wall opposite t_k adds,
-        in chart coordinates with the entry on t_k, always -1, left out; a
-        wall on the boundary lists None.  Each interior wall is read once:
-        with u and w the rays its two top cones add to it, the relation
-        u + w = sum of a_v v over its rays v gives those coordinates on
-        both sides.  An ordered top cone is coded as t * n! + p, where t is
-        its place in ``top_cones()`` and p the place of its ordering in
-        ``permutations(range(n))``, so each key lists its codes in the
-        order a scan of the top cones and their orderings meets them.
+    def _chart_index(self) -> dict[tuple, tuple[Cone, ...]]:
+        """Every ordered top cone of a good fan, as a tuple of ray indices,
+        keyed by its ``_chart_key``.  Each key lists its ordered top cones
+        in the order a scan meets them: the top cones in ``top_cones()``
+        order, and the orderings of each in ``permutations(range(n))``
+        order.  Each wall's relation is read once, for both its top cones.
         """
         n = self.ambient_rank
         relation = {wall: _wall_relation(self.rays, wall, upper)
                     for wall, upper in self._incidence.upper.items()}
-        orders = tuple(permutations(range(n)))
-        # For each ordering, the places in each opposite wall of the other
-        # rays, in the ordering's order; None where that is the wall's own
-        # order, and None for the whole ordering (always so in rank <= 2)
-        # when it is so on every wall.
-        picks = []
-        for order in orders:
-            pick = []
-            for q in order:
-                places = tuple(j - (j > q) for j in order if j != q)
-                pick.append(None if places == tuple(sorted(places)) else places)
-            picks.append(None if pick.count(None) == n else tuple(pick))
-        index: dict[tuple, list[int]] = {}
-        code = 0
+        index: dict[tuple, list[Cone]] = {}
         for top in self._incidence.tops:
             opposite = [relation[top[:k] + top[k + 1:]] for k in range(n)]
-            for order, pick in zip(orders, picks):
-                if pick is None:
-                    key = tuple([opposite[q] for q in order])
-                else:
-                    key = tuple(a if a is None or at is None else tuple([a[j] for j in at])
-                                for a, at in zip([opposite[q] for q in order], pick))
-                index.setdefault(key, []).append(code)
-                code += 1
-        return {key: tuple(codes) for key, codes in index.items()}
+            for order in permutations(range(n)):
+                index.setdefault(_chart_key(opposite, order), []).append(
+                    tuple([top[k] for k in order]))
+        return {key: tuple(tops) for key, tops in index.items()}
 
     @cached_property
     def _isomorphism_walk(self):
         """The first top cone sigma0, the inverse of its ray matrix, every
         other top cone with the sigma0 chart coordinates of the rays it
         adds, in the order a walk across walls from sigma0 meets them, and
-        the chart signature of sigma0 as ``_chart_index`` keys it.  Defined
-        for good fans."""
+        the ``_chart_key`` of sigma0 with its rays in sorted order.
+        Defined for good fans."""
         sigma0 = self.top_cones()[0]
         vinv = inverse_unimodular(self.ray_matrix(sigma0))
         steps = tuple((top, tuple((i, vinv.apply(self.rays[i])) for i in new))
                       for top, new in _tops_by_wall_distance(self, sigma0)[1:])
         upper = self._incidence.upper
-        sigma0_walls = [sigma0[:k] + sigma0[k + 1:] for k in range(len(sigma0))]
-        signature = tuple(_wall_relation(self.rays, w, upper[w]) for w in sigma0_walls)
-        return sigma0, vinv, steps, signature
-
-    def cones_of_dim(self, d: int) -> tuple[Cone, ...]:
-        return tuple(sorted(c for c in self.cones if len(c) == d))
+        opposite = [_wall_relation(self.rays, w, upper[w])
+                    for w in (sigma0[:k] + sigma0[k + 1:] for k in range(len(sigma0)))]
+        return sigma0, vinv, steps, _chart_key(opposite, range(len(sigma0)))
 
     def top_cones(self) -> tuple[Cone, ...]:
         return self._incidence.tops
@@ -430,12 +399,12 @@ def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
     each wall of sigma0 to the top cone across the matching wall of the
     image, and boundary walls to boundary walls; being linear, it keeps the
     chart coordinates of the ray each neighbour adds.  So the image has the
-    chart signature of sigma0 (see ``Fan._chart_index``), and only the
-    ordered top cones of g under that signature are tried, in the order of
-    a scan of every top cone of g and every ordering of its rays.  The
-    signature is necessary, so the first candidate that carries f onto g
-    is the first the full scan would find, and so is the matrix.  Returns
-    None when no isomorphism exists.
+    chart signature of sigma0 (see ``_chart_key``), and only the ordered
+    top cones that g's ``_chart_index`` holds under that signature are
+    tried, in the order of a scan of every top cone of g and every
+    ordering of its rays.  The signature is necessary, so the first
+    candidate that carries f onto g is the first the full scan would find,
+    and so is the matrix.  Returns None when no isomorphism exists.
     """
     for fan in (f, g):
         if not fan.is_good():
@@ -448,8 +417,7 @@ def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
         return None
     sigma0, vinv, steps, signature = f._isomorphism_walk
     ray_index = {ray: i for i, ray in enumerate(g.rays)}
-    g_tops = g.top_cones()
-    g_top_set = set(g_tops)
+    g_top_set = set(g.top_cones())
 
     def carries(image):
         # The candidate sends the rays of sigma0 to those of image, and
@@ -469,13 +437,27 @@ def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
         # cones, so it hits all of them.
         return True
 
-    orders = tuple(permutations(range(f.ambient_rank)))
-    for code in g._chart_index.get(signature, ()):
-        top, order = divmod(code, len(orders))
-        image = tuple(g_tops[top][k] for k in orders[order])
+    for image in g._chart_index.get(signature, ()):
         if carries(image):
             return IntMatrix.from_columns([g.rays[j] for j in image]) @ vinv
     return None
+
+
+def _chart_key(opposite: Sequence[Optional[tuple[int, ...]]],
+               order: Iterable[int]) -> tuple:
+    """The chart signature of a top cone with its rays taken in order.
+
+    opposite[q] is the relation (see ``_wall_relation``) on the wall
+    opposite ray q of the top cone's sorted tuple, or None on a boundary
+    wall.  For each ray in the given order the signature lists
+    that relation with its entries read in the same order: it is then the
+    chart coordinates, in that ordered chart, of the ray the top cone
+    across the wall adds, less the entry -1 on the ray off the wall.
+    """
+    order = tuple(order)
+    return tuple([None if opposite[q] is None
+                  else tuple([opposite[q][j - (j > q)] for j in order if j != q])
+                  for q in order])
 
 
 def _wall_relation(rays, wall: Cone, upper: tuple[Cone, ...]) -> Optional[tuple[int, ...]]:

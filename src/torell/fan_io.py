@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .errors import MalformedFan, ParseError, SchemaError, TorellError
-from .fan import Fan, FanReport, as_integers, ccw_order
-from .lattice import SublatticeClass, primitive_normal
+from .fan import Fan, FanReport, ccw_order
+from .lattice import SublatticeClass, as_integers, primitive_normal
 
 if TYPE_CHECKING:
     # Annotations only: parsing and validating fans must not load these layers.
@@ -142,7 +142,7 @@ def complete_surface_fan(rays: Sequence[Sequence[int]]) -> Fan:
     Rays are sorted by angle and consecutive pairs span the top cones, so
     this is the unique complete simplicial fan on the given rays.
     """
-    rays = [as_integers(r, "ray coordinate") for r in rays]
+    rays = [as_integers(r, "ray coordinate", MalformedFan) for r in rays]
     if any(len(r) != 2 for r in rays):
         raise SchemaError("ray-list input builds surface fans only")
     if not all(any(r) for r in rays):

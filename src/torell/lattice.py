@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, NonSquare, WrongCorank
@@ -20,8 +21,19 @@ from .errors import DimensionMismatch, NonSquare, WrongCorank
 Vector = tuple  # integer coordinate tuple
 
 
-def _as_vector(v: Sequence[int]) -> Vector:
-    return tuple(int(x) for x in v)
+def as_integers(values: Iterable, what: str, error: type = DimensionMismatch) -> Vector:
+    """The values as ints by ``operator.index``, so no float or string is
+    read; any other value raises ``error`` naming it.  The one rule every
+    module reads integer input with.  A tuple of ints is returned as it
+    is, not copied."""
+    values = tuple(values)
+    if all(type(x) is int for x in values):
+        return values
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        bad = next(x for x in values if not hasattr(type(x), "__index__"))
+        raise error(f"{what} {bad!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -37,7 +49,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(_as_vector(r) for r in rows))
+        return cls(tuple(as_integers(r, "matrix entry") for r in rows))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -142,7 +154,7 @@ def hermite_transform(rows: Sequence[Sequence[int]], ncols: int):
     of each nonzero row.
     """
     m = len(rows)
-    h = [list(_as_vector(r)) for r in rows]
+    h = [list(as_integers(r, "vector entry")) for r in rows]
     for r in h:
         if len(r) != ncols:
             raise DimensionMismatch("row length mismatch")
@@ -196,11 +208,6 @@ def hnf(m: IntMatrix) -> IntMatrix:
     """Canonical row Hermite normal form; same row span over Z as the input."""
     h, _, _ = hermite_transform(m.entries, m.cols)
     return IntMatrix.from_rows(h)
-
-
-def integer_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
-    _, _, pivots = hermite_transform(rows, ncols)
-    return len(pivots)
 
 
 def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
@@ -306,7 +313,7 @@ def saturate(vectors: Sequence[Sequence[int]], ambient_rank: Optional[int] = Non
 
     ambient_rank may be omitted when at least one vector is given.
     """
-    vectors = [_as_vector(v) for v in vectors]
+    vectors = [as_integers(v, "vector entry") for v in vectors]
     if vectors:
         n = len(vectors[0])
         if any(len(v) != n for v in vectors):
@@ -336,7 +343,7 @@ def span_class(vectors: Sequence[Sequence[int]], ambient_rank: int) -> Sublattic
     if len(vectors) == 1:
         # A single nonzero row is in Hermite form once its leading entry is
         # positive.
-        row = sign_normalized(tuple(vectors[0]))
+        row = sign_normalized(as_integers(vectors[0], "vector entry"))
         if any(row):
             return SublatticeClass(ambient_rank, (row,))
     h, _, pivots = hermite_transform(vectors, ambient_rank)

@@ -31,7 +31,7 @@ from .errors import (
     WORK_LIMIT,
 )
 from .fan import Fan, facet_sides
-from .lattice import IntMatrix, adjugate, determinant, hermite_transform, hnf
+from .lattice import IntMatrix, adjugate, as_integers, determinant, hermite_transform, hnf
 
 Point = tuple
 
@@ -58,7 +58,7 @@ class LatticeSimplex:
 
     @classmethod
     def from_vertices(cls, vertices: Sequence[Sequence[int]]) -> "LatticeSimplex":
-        vertices = tuple(sorted(tuple(int(x) for x in v) for v in vertices))
+        vertices = tuple(sorted(as_integers(v, "vertex coordinate") for v in vertices))
         if not vertices:
             raise DimensionMismatch("a simplex needs vertices")
         dim = len(vertices[0])

@@ -22,26 +22,27 @@ elimination over Q and the Hermite-form integer solver the library used
 before every inverse came from one integer adjugate; and the plane order
 by rational cotangents and the chart signature read through the chart's
 inverse the library used before it compared cross products and read the
-signature from wall relations.  They are slow but
+signature from wall relations; and the chart-signature index with its
+table of per-ordering places and integer codes the library built before
+one function keyed it with ordered top cones.  They are slow but
 follow the definitions literally, so the fast code is checked against them.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import lcm
+from math import gcd, lcm
 
 from torell import ellinv
 from torell.cech import CoverElement, letter_meet
 from torell.errors import DimensionMismatch, DisconnectedStar, NotGood, NotInSL, TorellError
-from torell.fan import Wall
+from torell.fan import Wall, _wall_relation
 from torell.lattice import (
     IntMatrix,
     SublatticeClass,
     hermite_transform,
     determinant,
     hnf,
-    integer_rank,
     kernel_basis,
     sign_normalized,
     span_class,
@@ -52,7 +53,8 @@ from torell.triang import LatticeSimplex, Triangulation, _height_normalizer, _or
 def closed_and_independent(n, rays, cones):
     """Every face of every cone is listed and every cone's rays are
     independent, checked cone by cone and face by face."""
-    return all(face in cones and integer_rank([rays[i] for i in cone], n) == len(cone)
+    return all(face in cones
+               and len(hermite_transform([rays[i] for i in cone], n)[2]) == len(cone)
                for cone in cones for k in range(len(cone)) for face in combinations(cone, k))
 
 
@@ -128,8 +130,12 @@ def one_sided_wall(n, rays, cones):
     return False
 
 
+def cones_of_dim(fan, d):
+    return tuple(sorted(c for c in fan.cones if len(c) == d))
+
+
 def top_cones(fan):
-    return fan.cones_of_dim(fan.ambient_rank)
+    return cones_of_dim(fan, fan.ambient_rank)
 
 
 def maximal_cones(fan):
@@ -140,8 +146,12 @@ def maximal_cones(fan):
 
 
 def is_smooth(fan):
-    return all(abs(rational_determinant([fan.rays[i] for i in c])) == 1
-               for c in top_cones(fan))
+    """Every maximal cone's rays extend to a lattice basis: the maximal
+    minors of their rows have gcd 1 (a top cone's one minor is +-1)."""
+    n = fan.ambient_rank
+    return all(gcd(*(int(rational_determinant([[fan.rays[i][j] for j in cols] for i in c]))
+                     for cols in combinations(range(n), len(c)))) == 1
+               for c in maximal_cones(fan))
 
 
 def is_good(fan):
@@ -162,7 +172,7 @@ def is_proper(fan):
     if not top_cones(fan):
         return False
     return all(len(wall_upper(fan, w)) == 2
-               for w in fan.cones_of_dim(fan.ambient_rank - 1))
+               for w in cones_of_dim(fan, fan.ambient_rank - 1))
 
 
 def saturate(vectors, n):
@@ -183,7 +193,7 @@ def walls(fan):
     if not fan.is_good():
         raise NotGood("walls are only enumerated for good fans")
     out = []
-    for cone in fan.cones_of_dim(fan.ambient_rank - 1):
+    for cone in cones_of_dim(fan, fan.ambient_rank - 1):
         out.append(Wall(cone=cone, upper=wall_upper(fan, cone),
                         span=span_class([fan.rays[i] for i in cone], fan.ambient_rank)))
     return tuple(out)
@@ -231,7 +241,9 @@ def fan_isomorphic(f, g):
         return None
     if len(top_cones(f)) != len(top_cones(g)):
         return None
-    vinv = IntMatrix.from_rows(rational_inverse(f.ray_matrix(top_cones(f)[0]).entries))
+    # A unimodular matrix has an integral inverse, so int() reads it exactly.
+    vinv = IntMatrix.from_rows([map(int, row) for row in
+                                rational_inverse(f.ray_matrix(top_cones(f)[0]).entries)])
     ray_index = {ray: i for i, ray in enumerate(g.rays)}
     for tau in top_cones(g):
         for image in permutations(tau):
@@ -678,3 +690,40 @@ def chart_signature(fan):
         else:
             signature.append(None)
     return tuple(signature)
+
+
+def chart_index(fan):
+    """The chart-signature index built from a table of each ordering's
+    places in the opposite walls, with a shortcut for orderings that keep
+    every wall's order, and each ordered top cone coded as t * n! + p (t
+    its place in the top cones, p that of its ordering in the
+    permutations); the codes are decoded here to the ordered top cones."""
+    n = fan.ambient_rank
+    relation = {wall: _wall_relation(fan.rays, wall, upper)
+                for wall, upper in fan._incidence.upper.items()}
+    orders = tuple(permutations(range(n)))
+    picks = []
+    for order in orders:
+        pick = []
+        for q in order:
+            places = tuple(j - (j > q) for j in order if j != q)
+            pick.append(None if places == tuple(sorted(places)) else places)
+        picks.append(None if pick.count(None) == n else tuple(pick))
+    codes = {}
+    code = 0
+    for top in fan.top_cones():
+        opposite = [relation[top[:k] + top[k + 1:]] for k in range(n)]
+        for order, pick in zip(orders, picks):
+            if pick is None:
+                key = tuple([opposite[q] for q in order])
+            else:
+                key = tuple(a if a is None or at is None else tuple([a[j] for j in at])
+                            for a, at in zip([opposite[q] for q in order], pick))
+            codes.setdefault(key, []).append(code)
+            code += 1
+    tops = fan.top_cones()
+    decoded = {}
+    for key, found in codes.items():
+        decoded[key] = tuple(tuple(tops[t][k] for k in orders[p])
+                             for t, p in (divmod(c, len(orders)) for c in found))
+    return decoded

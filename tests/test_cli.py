@@ -171,6 +171,18 @@ def test_ray_list_file_input(tmp_path):
     assert json.loads(proc.stdout)["result"][0]["proper"] is True
 
 
+def test_lower_dimensional_cone_of_index_two_is_not_smooth(tmp_path):
+    # The 2-cone on (1,0,0) and (1,2,0) spans an index-2 sublattice.
+    path = tmp_path / "index_two.fan.json"
+    path.write_text(json.dumps({"schema_version": "1", "ambient_rank": 3,
+                                "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 0]],
+                                "cones": [[0, 1, 2], [0, 3]]}))
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 0
+    (result,) = json.loads(proc.stdout)["result"]
+    assert (result["smooth"], result["good"], result["proper"]) == (False, False, False)
+
+
 def assert_input_error(proc, *needles):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

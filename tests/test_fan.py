@@ -43,6 +43,17 @@ class TestValidate:
         report = validate(f)
         assert not report.smooth and not report.good
 
+    def test_lower_dimensional_maximal_cone_must_extend_to_a_basis(self):
+        # (1,0,0) and (1,2,0) span an index-2 sublattice of their saturation.
+        rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 0)]
+        report = validate(Fan(3, rays, [(0, 1, 2), (0, 3)]))
+        assert not report.smooth and not report.good and not report.proper
+        report = validate(Fan(3, rays[:3] + [(1, 1, 0)], [(0, 1, 2), (0, 3)]))
+        assert report.smooth and not report.good
+        lone = Fan(3, [(1, 0, 0), (1, 2, 0)], [(0,), (1,)])
+        assert lone.is_smooth() and not Fan(3, lone.rays, [(0, 1)]).is_smooth()
+        assert Fan(2, [], []).maximal_cones() == ((),) and Fan(2, [], []).is_smooth()
+
     def test_resolution_fan_not_proper(self, corpus_fans):
         report = validate(corpus_fans["flop3_a"])
         assert report.smooth and report.good and not report.proper
@@ -86,6 +97,10 @@ class TestValidate:
         with pytest.raises(MalformedFan, match=r"ray coordinate 1\.9 is not an integer"):
             complete_surface_fan([(1.9, 0)] + rays[1:])
         assert Fan(2, [(True, 0)] + rays[1:], cones).rays == tuple(rays)
+        with pytest.raises(MalformedFan, match=r"ambient rank 2\.0 is not an integer"):
+            Fan(2.0, rays, cones)
+        with pytest.raises(MalformedFan, match=r"ambient rank '2' is not an integer"):
+            Fan("2", rays, cones)
 
 
 class TestFaceClosure:

@@ -19,6 +19,7 @@ from torell.lattice import (
     kernel_basis,
     primitive_normal,
     saturate,
+    span_class,
 )
 
 from conftest import random_unimodular
@@ -79,6 +80,29 @@ small_matrices = st.integers(1, 4).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-9, 9), min_size=n, max_size=n),
         min_size=1, max_size=4))
+
+
+class TestIntegerInput:
+    def test_non_integers_refused(self):
+        # Read by operator.index: a float is not truncated, a string not parsed.
+        with pytest.raises(DimensionMismatch, match=r"matrix entry '3' is not an integer"):
+            IntMatrix.from_rows([("3", 2)])
+        with pytest.raises(DimensionMismatch, match=r"matrix entry 2\.9 is not an integer"):
+            IntMatrix.from_rows([(3, 2.9)])
+        with pytest.raises(DimensionMismatch, match=r"vector entry 1\.5 is not an integer"):
+            saturate([(1.5, 0)])
+        with pytest.raises(DimensionMismatch, match=r"vector entry 1\.5 is not an integer"):
+            span_class([(1.5, 0)], 2)
+        with pytest.raises(DimensionMismatch, match=r"vector entry 0\.5 is not an integer"):
+            span_class([(1, 0), (0, 0.5)], 2)
+        with pytest.raises(DimensionMismatch, match=r"vector entry 0\.5 is not an integer"):
+            hnf(IntMatrix(((1, 0.5),)))
+
+    def test_integer_tuples_kept_and_other_integers_read(self):
+        row = (1, 2)
+        assert IntMatrix.from_rows([row]).entries[0] is row
+        assert IntMatrix.from_rows([[True, 2]]).entries == ((1, 2),)
+        assert type(IntMatrix.from_rows([[True, 2]]).entries[0][0]) is int
 
 
 class TestHnf:

@@ -11,7 +11,14 @@ import pytest
 import oracles
 from torell import triang
 from torell.ellinv import NOT_ISOMORPHIC, compare, ell_shadow
-from torell.errors import IllegalFlip, NotDim2, NotInSL, NotUnimodular, TooLarge
+from torell.errors import (
+    DimensionMismatch,
+    IllegalFlip,
+    NotDim2,
+    NotInSL,
+    NotUnimodular,
+    TooLarge,
+)
 from torell.fan import validate
 from torell.triang import (
     DerivedEquivalenceCertificate,
@@ -84,6 +91,13 @@ class TestQuotientSimplex:
 
 
 class TestTriangulation:
+    def test_non_integer_vertices_refused(self):
+        # Read by operator.index: a float is not truncated, a string not parsed.
+        with pytest.raises(DimensionMismatch, match=r"vertex coordinate 0\.7 is not an integer"):
+            LatticeSimplex.from_vertices([(0.7, 0), (2, 0), (0, 2)])
+        with pytest.raises(DimensionMismatch, match=r"vertex coordinate '2' is not an integer"):
+            LatticeSimplex.from_vertices([(0, 0), (2, 0), (0, "2")])
+
     def test_non_unimodular_cell_rejected(self):
         s = LatticeSimplex.from_vertices([(0, 0), (2, 0), (0, 2)])
         cells_skipping_points = (
