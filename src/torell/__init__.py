@@ -24,8 +24,7 @@ _EXPORTS = {
     ),
     "ellinv": (
         "ISOMORPHIC", "NOT_ISOMORPHIC", "UNKNOWN", "EllShadow", "MayerVietorisLadder",
-        "SurfaceIncidence", "Verdict", "compare", "ell_shadow", "flip_certificate",
-        "incidence_matrix", "mv_ladder",
+        "Verdict", "compare", "ell_shadow", "flip_certificate", "mv_ladder",
     ),
     "errors": (),
     "fan": (

@@ -63,9 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flop", help="list or apply diagonal flips of a triangulation")
     p.add_argument("triangulation",
                    help="built-in name (mu2-kernel) or a triangulation JSON file")
-    p.add_argument("--list", action="store_true", help="list legal flips")
-    p.add_argument("--apply", default=None, metavar="ID",
-                   help="flip id (index or colour alias) to apply")
+    action = p.add_mutually_exclusive_group()
+    action.add_argument("--list", action="store_true", help="list legal flips")
+    action.add_argument("--apply", default=None, metavar="ID",
+                        help="flip id (index or colour alias) to apply")
     _add_common(p, reads_fans=False)
 
     p = sub.add_parser("mckay-example",

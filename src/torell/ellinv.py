@@ -14,10 +14,12 @@ builds its own shadow, divisor and verdict.
 
 The signed top-cone by ray incidence matrix of a proper good surface is
 that of an m-cycle: each ray lies on two top cones, and consecutive rays
-span one.  Its integer column span is the sum-zero lattice, so every
-column of one surface's matrix is an arc of the other's cycle, and the
-certificate of a single-ray reversal is built in O(m^2) with no Hermite
-form (``flip_certificate``).
+span one.  The cycle is walked once through the fan's wall incidence, and
+both matrices, their kernels and the arcs are read from the two walks.
+The integer column span is the sum-zero lattice, so every column of one
+surface's matrix is an arc of the other's cycle, and the certificate of a
+single-ray reversal is built in O(m^2) with no Hermite form
+(``flip_certificate``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     TooLarge,
     WORK_LIMIT,
 )
-from .fan import Fan, ccw_order
+from .fan import Fan
 from .lattice import (
     IntMatrix,
     SublatticeClass,
@@ -209,55 +211,6 @@ def _sorted_differences(a, b):
     return tuple(only_a) + a[i:], tuple(only_b) + b[j:]
 
 
-@dataclass(frozen=True)
-class SurfaceIncidence:
-    """Signed top-cone by ray incidence matrix of a proper good surface.
-
-    Rays are listed clockwise starting from a chosen first ray; rows follow
-    the canonical top-cone order.  Each ray lies on exactly two top cones,
-    so every column holds one +1 (at the smaller row index) and one -1.
-    """
-
-    m: int
-    matrix: IntMatrix
-    ray_order: tuple[tuple[int, int], ...]
-
-
-def incidence_matrix(fan: Fan, start_ray: int) -> SurfaceIncidence:
-    """The signed incidence matrix of a proper good surface fan.
-
-    Entry (i, j) is +1 when ray j lies on top cone i and i is the smaller
-    of the two containing row indices, -1 when it is the larger, else 0.
-    """
-    if fan.ambient_rank != 2:
-        raise NotSurface("incidence matrices are defined for surface fans")
-    if not fan.is_good():
-        raise NotGood("incidence matrices require a good fan")
-    if not fan.is_proper():
-        raise NotProper("incidence matrices require a proper fan")
-    if not 0 <= start_ray < len(fan.rays):
-        raise NotSurface(f"no ray with index {start_ray}")
-    tops = fan.top_cones()
-    row = {cone: i for i, cone in enumerate(tops)}
-    upper = fan._incidence.upper
-    # Clockwise from the start ray: the counter-clockwise order reversed.
-    ccw = ccw_order(fan.rays, fan.rays[start_ray])
-    order = ccw[:1] + ccw[:0:-1]
-    m = len(tops)
-    entries = [[0] * m for _ in range(m)]
-    for col, ray in enumerate(order):
-        # In a proper surface a ray is a wall on two top cones, listed in
-        # sorted order, so their row ids ascend.
-        first, second = upper[(ray,)]
-        entries[row[first]][col] = 1
-        entries[row[second]][col] = -1
-    return SurfaceIncidence(
-        m=m,
-        matrix=IntMatrix(tuple(map(tuple, entries))),
-        ray_order=tuple(fan.rays[i] for i in order),
-    )
-
-
 def _reversed_ray_pair(f: Fan, f2: Fan):
     """The single ray of f whose reversal yields f2, or None for equal fans."""
     a, b = set(f.rays), set(f2.rays)
@@ -273,33 +226,47 @@ def _reversed_ray_pair(f: Fan, f2: Fan):
     return v, w
 
 
-def _cycle(a: IntMatrix):
-    """The cycle of top cones that a surface incidence matrix encodes.
+def _cycle(fan: Fan, start_ray: int) -> list[int]:
+    """The cycle of top cones of a proper good surface, clockwise from a ray.
 
-    Returns (ends, shared, z).  ends[j] = (p, q) when column j is e_p - e_q.
-    shared[j] is the top cone that columns j and j + 1 (mod m) both meet:
-    the cone spanned by the clockwise rays j and j + 1.  So column j joins
-    shared[j - 1] to shared[j], and with z[j] its entry in row shared[j],
-    z[j] * column j = e_{shared[j]} - e_{shared[j - 1]}.  These telescope to
-    zero around the cycle, so z spans the kernel.
+    shared[j] is the row, in ``top_cones()`` order, of the top cone spanned
+    by the clockwise rays j and j + 1 (mod m), ray 0 being start_ray.  Each
+    ray lies on two top cones, so the walk steps from a ray to the other top
+    cone on it; only the first step takes a cross product, to turn clockwise.
     """
-    m = a.rows
-    ends = [[0, 0] for _ in range(m)]
-    for i, row in enumerate(a.entries):
-        for j, x in enumerate(row):
-            if x:
-                ends[j][0 if x > 0 else 1] = i
-    shared = [p if p in ends[(j + 1) % m] else q for j, (p, q) in enumerate(ends)]
-    z = [a.entries[shared[j]][j] for j in range(m)]
-    return ends, shared, z
+    row = {cone: i for i, cone in enumerate(fan.top_cones())}
+    upper = fan._incidence.upper
+    # A top cone is a pair of rays, so its other ray is its sum less one.
+    first, second = upper[(start_ray,)]
+    (x, y), (u, v) = fan.rays[start_ray], fan.rays[sum(first) - start_ray]
+    top = first if x * v - y * u < 0 else second
+    ray, shared = start_ray, []
+    for _ in fan.rays:
+        shared.append(row[top])
+        ray = sum(top) - ray
+        first, second = upper[(ray,)]
+        top = second if first == top else first
+    return shared
+
+
+def _cycle_matrix(shared) -> IntMatrix:
+    """The incidence matrix of a cycle of top cones: column j is e_p - e_q
+    for the rows p < q of shared[j - 1] and shared[j]."""
+    columns = [[0] * len(shared) for _ in shared]
+    for j, column in enumerate(columns):
+        p, q = sorted((shared[j - 1], shared[j]))
+        column[p], column[q] = 1, -1
+    return IntMatrix.from_columns(columns)
 
 
 def flip_certificate(f: Fan, f2: Fan) -> IntMatrix:
     """Invertible integer M with A_f = A_{f2} . M, in closed form.
 
-    Each incidence matrix is the top cone by ray incidence of an m-cycle:
-    column j of A_{f2} is e_p - e_q for the two top cones p, q on ray j,
-    and consecutive clockwise columns share one top cone.  Column j of A_f
+    A_f has a row per top cone in ``top_cones()`` order and a column per
+    ray, clockwise from the reversed ray (from the least ray when the ray
+    sets are equal); A_{f2} likewise, from the reversed ray's negation.
+    Column j is e_p - e_q for the two top cones p < q on ray j, so
+    consecutive columns share one top cone (see ``_cycle``).  Column j of A_f
     is e_a - e_b, so the signed indicator of A_{f2}'s columns along an arc
     of f2's cycle from b to a solves for it: each step from cone u to cone
     v contributes e_v - e_u, with its sign read from A_{f2}'s entry in row
@@ -329,16 +296,18 @@ def flip_certificate(f: Fan, f2: Fan) -> IntMatrix:
         v = w = min(f.rays)
     else:
         v, w = pair
-    a_f = incidence_matrix(f, f.rays.index(v)).matrix
-    a_g = incidence_matrix(f2, f2.rays.index(w)).matrix
-    if a_f == a_g:
-        return IntMatrix.identity(a_f.rows)
-    m = a_f.rows
-    ends_f, _, z_f = _cycle(a_f)
-    _, shared, z_g = _cycle(a_g)
-    position = {row: j for j, row in enumerate(shared)}
+    shared_f = _cycle(f, f.rays.index(v))
+    shared_g = _cycle(f2, f2.rays.index(w))
+    m = len(shared_f)
+    if shared_f == shared_g:
+        return IntMatrix.identity(m)
+    # z[j], the entry of column j in row shared[j], is +1 when that row is
+    # the smaller of the two the column joins.
+    z_f, z_g = ([1 if s[j] < s[j - 1] else -1 for j in range(m)] for s in (shared_f, shared_g))
+    position = {row: j for j, row in enumerate(shared_g)}
     columns = []
-    for a, b in ends_f:
+    for j in range(m):
+        a, b = sorted((shared_f[j - 1], shared_f[j]))
         x = [0] * m
         start, end = position[b], position[a]
         forward = (end - start) % m
@@ -359,7 +328,7 @@ def flip_certificate(f: Fan, f2: Fan) -> IntMatrix:
     t = (1 - c0) * z_f[0]
     columns[0] = [x + t * zi for x, zi in zip(columns[0], z_g)]
     cert = IntMatrix.from_columns(columns)
-    if a_g @ cert != a_f:
+    if _cycle_matrix(shared_g) @ cert != _cycle_matrix(shared_f):
         raise NotSingleFlip("the certificate does not carry one incidence matrix to the other")
     if abs(determinant(cert)) != 1:
         raise NotUnimodular("the certificate is not unimodular")

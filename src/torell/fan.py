@@ -35,6 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
 from itertools import permutations
+from math import factorial
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -404,7 +405,9 @@ def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
     tried, in the order of a scan of every top cone of g and every
     ordering of its rays.  The signature is necessary, so the first
     candidate that carries f onto g is the first the full scan would find,
-    and so is the matrix.  Returns None when no isomorphism exists.
+    and so is the matrix.  Returns None when no isomorphism exists.  The
+    index lists m * n! ordered top cones, so more than WORK_LIMIT of them
+    raise TooLarge before it is built.
     """
     for fan in (f, g):
         if not fan.is_good():
@@ -415,6 +418,10 @@ def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
         return None
     if len(f.top_cones()) != len(g.top_cones()):
         return None
+    entries = len(g.top_cones()) * factorial(g.ambient_rank)
+    if entries > WORK_LIMIT:
+        raise TooLarge(f"the chart-signature index would list {entries} ordered top "
+                       f"cones, over the limit of {WORK_LIMIT}")
     sigma0, vinv, steps, signature = f._isomorphism_walk
     ray_index = {ray: i for i, ray in enumerate(g.rays)}
     g_top_set = set(g.top_cones())

@@ -314,6 +314,8 @@ def saturate(vectors: Sequence[Sequence[int]], ambient_rank: Optional[int] = Non
     ambient_rank may be omitted when at least one vector is given.
     """
     vectors = [as_integers(v, "vector entry") for v in vectors]
+    if ambient_rank is not None:
+        (ambient_rank,) = as_integers((ambient_rank,), "ambient rank")
     if vectors:
         n = len(vectors[0])
         if any(len(v) != n for v in vectors):
@@ -340,6 +342,7 @@ def span_class(vectors: Sequence[Sequence[int]], ambient_rank: int) -> Sublattic
     saturated, for example when the vectors extend to a basis of Z^n; then
     it equals ``saturate(vectors)`` at the cost of one Hermite form.
     """
+    (ambient_rank,) = as_integers((ambient_rank,), "ambient rank")
     if len(vectors) == 1:
         # A single nonzero row is in Hermite form once its leading entry is
         # positive.

@@ -17,7 +17,9 @@ reproduce; and the one-system-at-a-time rational solves for quotient
 vertices the library used before it inverted each matrix once; and the
 surface flip certificate solved against Hermite forms and the dense
 Bareiss determinant the library used before it walked the
-cycle of top cones and skipped unchanged rows; and the Gauss-Jordan
+cycle of top cones and skipped unchanged rows; and the incidence
+matrices of surfaces with their rays sorted by angle, which the library
+wrote out before it read the matrices from one walk of that cycle; and the Gauss-Jordan
 elimination over Q and the Hermite-form integer solver the library used
 before every inverse came from one integer adjugate; and the plane order
 by rational cotangents and the chart signature read through the chart's
@@ -230,6 +232,19 @@ def incidence_entries(fan, order):
         first, second = [i for i, cone in enumerate(tops) if ray in cone]
         entries[first][col], entries[second][col] = 1, -1
     return entries
+
+
+def clockwise_order(fan, start):
+    """A surface's ray indices clockwise from ray start: the order by
+    rational cotangents, counter-clockwise, reversed after its first ray."""
+    ccw = ccw_order(fan.rays, fan.rays[start])
+    return ccw[:1] + ccw[:0:-1]
+
+
+def clockwise_incidence(fan, start):
+    """The signed incidence matrix of a surface with its rays clockwise
+    from ray start, as ``ellinv.flip_certificate`` reads it."""
+    return IntMatrix.from_rows(incidence_entries(fan, clockwise_order(fan, start)))
 
 
 def fan_isomorphic(f, g):
@@ -633,8 +648,8 @@ def flip_certificate(f, g):
     when some column has no integer solution."""
     pair = ellinv._reversed_ray_pair(f, g)
     v, w = pair if pair is not None else (min(f.rays), min(f.rays))
-    a_f = ellinv.incidence_matrix(f, f.rays.index(v)).matrix
-    a_g = ellinv.incidence_matrix(g, g.rays.index(w)).matrix
+    a_f = clockwise_incidence(f, f.rays.index(v))
+    a_g = clockwise_incidence(g, g.rays.index(w))
     m = a_f.rows
     solve = integer_solver(a_g)
     columns = [solve(a_f.column(j)) for j in range(m)]

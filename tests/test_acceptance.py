@@ -12,6 +12,7 @@ from collections import Counter
 from contextlib import contextmanager
 from math import comb
 
+import oracles
 from torell.cech import cech_poset, cohomology_witness, cover
 from torell.ellinv import (
     ISOMORPHIC,
@@ -19,7 +20,6 @@ from torell.ellinv import (
     compare,
     ell_shadow,
     flip_certificate,
-    incidence_matrix,
 )
 from torell.fan import fan_isomorphic, validate, walls
 from torell.lattice import determinant, saturate
@@ -136,8 +136,8 @@ def test_criterion_8_certificate_algebra():
             cert = flip_certificate(f, g)
             assert abs(determinant(cert)) == 1
             neg = (-ray[0], -ray[1])
-            a_inc = incidence_matrix(f, f.rays.index(ray)).matrix
-            b_inc = incidence_matrix(g, g.rays.index(neg)).matrix
+            a_inc = oracles.clockwise_incidence(f, f.rays.index(ray))
+            b_inc = oracles.clockwise_incidence(g, g.rays.index(neg))
             assert b_inc @ cert == a_inc
 
 

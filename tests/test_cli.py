@@ -150,6 +150,13 @@ def test_input_errors_exit_two():
     assert run_cli("flop", "mu2-kernel", "--apply", "purple").returncode == 2
 
 
+def test_flop_list_and_apply_together_is_a_usage_error():
+    proc = run_cli("flop", "mu2-kernel", "--list", "--apply", "green")
+    assert proc.returncode == 2
+    assert "not allowed with argument --list" in proc.stderr
+    assert not proc.stdout
+
+
 def test_text_format_is_human_readable():
     proc = run_cli("invariant", "p2", "--format", "text")
     assert proc.returncode == 0

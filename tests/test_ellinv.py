@@ -1,4 +1,4 @@
-"""Shadow invariants, comparison verdicts, incidence matrices, certificates."""
+"""Shadow invariants, comparison verdicts, the cycle of top cones, certificates."""
 
 import random
 from collections import Counter
@@ -12,19 +12,20 @@ from torell.ellinv import (
     UNKNOWN,
     compare,
     ell_shadow,
+    _cycle,
     flip_certificate,
-    incidence_matrix,
     mv_ladder,
 )
 from torell.errors import (
     FansMismatch,
+    NotGood,
     NotProper,
     NotSingleFlip,
     NotSurface,
     RankMismatch,
     TorellError,
 )
-from torell.fan import fan_isomorphic, walls
+from torell.fan import Fan, fan_isomorphic, walls
 from torell.lattice import IntMatrix, determinant
 
 from conftest import grown_reversal_pair, shuffled_fan, single_reversal_pairs
@@ -36,8 +37,8 @@ def incidence_pair(f, g):
     gone = set(f.rays) - set(g.rays)
     v = gone.pop() if gone else min(f.rays)
     w = tuple(-x for x in v) if v not in g.rays else v
-    return (incidence_matrix(f, f.rays.index(v)).matrix,
-            incidence_matrix(g, g.rays.index(w)).matrix)
+    return (oracles.clockwise_incidence(f, f.rays.index(v)),
+            oracles.clockwise_incidence(g, g.rays.index(w)))
 
 
 def arcs(a_g, a, b):
@@ -217,47 +218,53 @@ class TestCompare:
                 assert va.outcome == vb.outcome
 
 
+def cycle_rays(fan, shared):
+    """The rays in the order of a cycle of top cones: ray j is the one the
+    top cones shared[j - 1] and shared[j] have in common."""
+    tops = fan.top_cones()
+    return [fan.rays[(set(tops[shared[j - 1]]) & set(tops[shared[j]])).pop()]
+            for j in range(len(shared))]
+
+
 class TestIncidence:
     def test_projective_plane(self, p2):
-        inc = incidence_matrix(p2, 0)
-        assert inc.m == 3
-        for j in range(3):
-            col = inc.matrix.column(j)
-            assert sorted(col) == [-1, 0, 1]
-            assert sum(col) == 0
-        assert inc.ray_order[0] == (1, 0)
+        shared = _cycle(p2, 0)
+        assert sorted(shared) == [0, 1, 2]
+        assert cycle_rays(p2, shared)[0] == p2.rays[0] == (1, 0)
 
     def test_product_surface(self, corpus_fans):
-        inc = incidence_matrix(corpus_fans["p1xp1"], 0)
-        assert inc.m == 4
-        for j in range(4):
-            assert sorted(inc.matrix.column(j)) == [-1, 0, 0, 1]
+        fan = corpus_fans["p1xp1"]
+        for start in range(4):
+            shared = _cycle(fan, start)
+            assert sorted(shared) == [0, 1, 2, 3]
+            assert cycle_rays(fan, shared)[0] == fan.rays[start]
 
     def test_column_property_random(self):
+        # Every top cone is met once, and consecutive top cones share one ray.
         rng = random.Random(303)
         for fan, _, _ in single_reversal_pairs(rng, 5):
-            inc = incidence_matrix(fan, 0)
-            for j in range(inc.m):
-                col = inc.matrix.column(j)
-                assert sum(col) == 0
-                assert sum(1 for x in col if x == 1) == 1
-                assert sum(1 for x in col if x == -1) == 1
+            shared = _cycle(fan, 0)
+            assert sorted(shared) == list(range(len(fan.top_cones())))
+            assert len(set(cycle_rays(fan, shared))) == len(fan.rays)
 
     def test_ray_order_is_clockwise(self, corpus_fans):
         # consecutive rays of a complete smooth surface satisfy
         # det(r_k, r_{k+1}) = -1 when listed clockwise
         for name in ("p2", "p1xp1", "hirzebruch1", "ray_reversal_a"):
-            order = incidence_matrix(corpus_fans[name], 0).ray_order
+            fan = corpus_fans[name]
+            order = cycle_rays(fan, _cycle(fan, 0))
             for u, v in zip(order, order[1:] + order[:1]):
                 assert u[0] * v[1] - u[1] * v[0] == -1
 
     def test_rejects_non_surfaces(self, corpus_fans, p1):
-        with pytest.raises(NotSurface):
-            incidence_matrix(corpus_fans["affine3"], 0)
-        with pytest.raises(NotSurface):
-            incidence_matrix(p1, 0)
+        for fan in (corpus_fans["affine3"], p1):
+            with pytest.raises(NotSurface):
+                flip_certificate(fan, fan)
         with pytest.raises(NotProper):
-            incidence_matrix(corpus_fans["affine2"], 0)
+            flip_certificate(corpus_fans["affine2"], corpus_fans["affine2"])
+        lone_ray = Fan.from_cones(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (2,)])
+        with pytest.raises(NotGood):
+            flip_certificate(lone_ray, lone_ray)
 
 
 class TestFlipCertificate:
@@ -268,8 +275,8 @@ class TestFlipCertificate:
         a, b = corpus_fans["ray_reversal_a"], corpus_fans["ray_reversal_b"]
         cert = flip_certificate(a, b)
         assert abs(determinant(cert)) == 1
-        a_inc = incidence_matrix(a, a.rays.index((-1, 0))).matrix
-        b_inc = incidence_matrix(b, b.rays.index((1, 0))).matrix
+        a_inc = oracles.clockwise_incidence(a, a.rays.index((-1, 0)))
+        b_inc = oracles.clockwise_incidence(b, b.rays.index((1, 0)))
         assert b_inc @ cert == a_inc
 
     def test_round_trip_composes(self, corpus_fans):
@@ -277,7 +284,7 @@ class TestFlipCertificate:
         a, b = corpus_fans["ray_reversal_a"], corpus_fans["ray_reversal_b"]
         there = flip_certificate(a, b)
         back = flip_certificate(b, a)
-        a_inc = incidence_matrix(a, a.rays.index((-1, 0))).matrix
+        a_inc = oracles.clockwise_incidence(a, a.rays.index((-1, 0)))
         assert a_inc @ (back @ there) == a_inc
         assert abs(determinant(back @ there)) == 1
 
@@ -313,6 +320,6 @@ class TestFlipCertificate:
             cert = flip_certificate(f, g)
             assert abs(determinant(cert)) == 1
             neg = (-ray[0], -ray[1])
-            a_inc = incidence_matrix(f, f.rays.index(ray)).matrix
-            b_inc = incidence_matrix(g, g.rays.index(neg)).matrix
+            a_inc = oracles.clockwise_incidence(f, f.rays.index(ray))
+            b_inc = oracles.clockwise_incidence(g, g.rays.index(neg))
             assert b_inc @ cert == a_inc

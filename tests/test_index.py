@@ -2,8 +2,8 @@
 
 import random
 from collections import Counter
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import factorial, gcd
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import oracles
 from torell import lattice
-from torell.ellinv import compare, ell_shadow, incidence_matrix
-from torell.errors import MalformedFan, NotGood, RankMismatch
+from torell.ellinv import _cycle, compare, ell_shadow
+from torell.errors import WORK_LIMIT, MalformedFan, NotGood, RankMismatch, TooLarge
 from torell.fan import Fan, fan_isomorphic, validate, walls
 from torell.lattice import IntMatrix, primitive_normal, saturate, span_class
 
@@ -214,6 +214,13 @@ def without_first_top_cone(fan):
     return Fan.from_cones(fan.ambient_rank, fan.rays, fan.maximal_cones()[1:])
 
 
+def p1_power(n):
+    """The fan of (P^1)^n: rays +-e_k, one top cone per choice of signs."""
+    rays = [tuple(sign * (i == k) for i in range(n)) for k in range(n) for sign in (1, -1)]
+    cones = [tuple(2 * k + s for k, s in enumerate(signs)) for signs in product((0, 1), repeat=n)]
+    return Fan.from_cones(n, rays, cones)
+
+
 class TestChartIndex:
     def pairs(self, corpus_fans):
         rng = random.Random(47)
@@ -269,6 +276,16 @@ class TestChartIndex:
         for g in corpus_fans.values():
             if g.is_good():
                 assert g._chart_index is g._chart_index
+
+    def test_an_index_over_the_work_limit_is_refused_before_it_is_built(self):
+        # (P^1)^n lists 2^n * n! ordered top cones: 46,080 for n = 6 and
+        # 645,120 for n = 7.
+        small, large = p1_power(6), p1_power(7)
+        assert len(small.top_cones()) * factorial(6) <= WORK_LIMIT
+        assert fan_isomorphic(small, small) == IntMatrix.identity(6)
+        with pytest.raises(TooLarge, match="645120 ordered top cones"):
+            fan_isomorphic(large, large)
+        assert "_chart_index" not in vars(large)
 
 
 class TestCompareAgainstSaturation:
@@ -379,15 +396,17 @@ class TestWallsDerivedOnce:
     def test_random_fans(self, fan):
         assert_walls_agree(fan)
 
-    def test_incidence_matrix_reads_the_index(self, corpus_fans):
+    def test_cycle_reads_the_index(self, corpus_fans):
+        # The walk meets, clockwise, the top cones of consecutive rays of
+        # the angular order.
         fans = [f for f in corpus_fans.values()
                 if f.ambient_rank == 2 and f.is_good() and f.is_proper()] + blowup_surfaces()
         for fan in fans:
+            tops = oracles.top_cones(fan)
             for start in range(len(fan.rays)):
-                found = incidence_matrix(fan, start)
-                order = [fan.rays.index(r) for r in found.ray_order]
-                assert [list(r) for r in found.matrix.entries] == \
-                    oracles.incidence_entries(fan, order)
+                order = oracles.clockwise_order(fan, start)
+                assert _cycle(fan, start) == [tops.index(tuple(sorted((r, s))))
+                                              for r, s in zip(order, order[1:] + order[:1])]
 
 
 class TestClosedForms:

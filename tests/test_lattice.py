@@ -98,6 +98,13 @@ class TestIntegerInput:
         with pytest.raises(DimensionMismatch, match=r"vector entry 0\.5 is not an integer"):
             hnf(IntMatrix(((1, 0.5),)))
 
+    def test_ambient_rank_refused_unless_an_integer(self):
+        with pytest.raises(DimensionMismatch, match=r"ambient rank 2\.0 is not an integer"):
+            saturate([], 2.0)
+        with pytest.raises(DimensionMismatch, match=r"ambient rank 2\.5 is not an integer"):
+            span_class([(1, 0)], 2.5)
+        assert saturate([], True).ambient_rank == 1
+
     def test_integer_tuples_kept_and_other_integers_read(self):
         row = (1, 2)
         assert IntMatrix.from_rows([row]).entries[0] is row
