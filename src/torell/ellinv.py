@@ -3,14 +3,14 @@
 For a good fan the invariant is the triple (rank, multiset of interior
 wall spans, determinant divisor).  Equal invariants are necessary for the
 underlying sheaves to be isomorphic; for good surfaces a span-preserving
-bijection of all rays is also sufficient, and the sufficiency is certified
-by an explicit row-transformation matrix between incidence matrices.
+bijection of all rays is also sufficient.  For a single-ray reversal,
+``flip_certificate`` gives a unimodular M with A_f = A_g M: M acts on the
+columns of the incidence matrices.
 
 The shadow and the comparison read structure each fan derives once: the
-shadow takes the fan's interior wall spans, already sorted, and the
-surface rule pairs rays through the fan's rays grouped by line: each
-ray's line, sorted, with the ray indices in that order.  Each call still
-builds its own shadow, divisor and verdict.
+shadow takes the fan's sorted interior wall spans and its determinant
+divisor, and the surface rule pairs rays through the fan's rays grouped by
+line.  Each call still builds its own shadow and verdict: none is cached.
 
 The signed top-cone by ray incidence matrix of a proper good surface is
 that of an m-cycle: each ray lies on two top cones, and consecutive rays
@@ -25,8 +25,7 @@ single-ray reversal is built in O(m^2) with no Hermite form
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
-from operator import attrgetter
+from itertools import combinations
 from typing import Optional
 
 from .errors import (
@@ -64,7 +63,9 @@ class EllShadow:
 
     wall_spans is sorted by ``SublatticeClass.sort_key``, which is injective
     on classes, so two shadows have equal span multisets exactly when their
-    tuples are equal.
+    tuples are equal.  det_divisor holds (-multiplicity, class) for each
+    distinct span, in the same order.  ``ell_shadow`` returns a new shadow
+    on every call, holding the tuples its fan derived once.
     """
 
     ambient_rank: int
@@ -79,18 +80,11 @@ class EllShadow:
 def ell_shadow(fan: Fan) -> EllShadow:
     if not fan.is_good():
         raise NotGood("the shadow invariant is defined for good fans")
-    spans = fan._interior_spans
-    # Equal classes are adjacent in the sorted spans; they share ambient
-    # rank, so equal bases mark them.
-    divisor = []
-    for _, run in groupby(spans, key=attrgetter("basis")):
-        run = tuple(run)
-        divisor.append((-len(run), run[0]))
     return EllShadow(
         ambient_rank=fan.ambient_rank,
         rank=len(fan.top_cones()),
-        wall_spans=spans,
-        det_divisor=tuple(divisor),
+        wall_spans=fan._interior_spans,
+        det_divisor=fan._det_divisor,
     )
 
 

@@ -12,7 +12,8 @@ What a ``Fan`` derives once and keeps for its lifetime:
   incidence (each wall's top cones), smoothness, goodness and properness;
 * on first use, its walls, each with its span and, when first read, its
   primitive normal;
-* on first use, its interior wall spans, sorted;
+* on first use, its interior wall spans, sorted, and its determinant
+  divisor, read off them;
 * on first use, for a surface, its rays grouped by the line they span:
   each ray's line (the basis row of its wall's span), sorted, and the ray
   indices in that order;
@@ -194,7 +195,7 @@ class Fan:
         for cone in maximal:
             rows = [rays[i] for i in cone]
             if len(cone) == n:
-                dets[cone] = determinant(IntMatrix(tuple(rows)))
+                dets[cone] = determinant(rows)
                 independent = dets[cone] != 0
                 smooth = smooth and abs(dets[cone]) == 1
             else:
@@ -271,6 +272,15 @@ class Fan:
         share ambient rank and rank, so their bases give that order."""
         return tuple(sorted((w.span for w in self._walls if w.interior),
                             key=lambda s: s.basis))
+
+    @cached_property
+    def _det_divisor(self) -> tuple[tuple[int, SublatticeClass], ...]:
+        """(-multiplicity, class) for each distinct interior wall span, in
+        the spans' order.  Equal classes are adjacent in the sorted spans;
+        they share ambient rank, so equal bases mark them."""
+        spans = self._interior_spans
+        starts = [k for k, s in enumerate(spans) if not k or s.basis != spans[k - 1].basis]
+        return tuple((k - end, spans[k]) for k, end in zip(starts, starts[1:] + [len(spans)]))
 
     @cached_property
     def _lines(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:

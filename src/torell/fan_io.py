@@ -44,7 +44,13 @@ def parse_fan_document(data) -> tuple[Fan, dict]:
     if not text.startswith("{"):
         return fan_from_ray_text(text), {}
     doc = _load_json(text)
-    return _fan_from_dict(doc), doc.get("metadata", {})
+    fan, metadata = _fan_from_dict(doc), doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise SchemaError("metadata must be an object")
+    for key in ("name", "source"):
+        if not isinstance(metadata.get(key, ""), str):
+            raise SchemaError(f"metadata.{key} must be a string")
+    return fan, metadata
 
 
 def _text(data) -> str:

@@ -92,11 +92,13 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise NonSquare(f"{m.rows}x{m.cols} matrix has no determinant")
-    return _bareiss(m.entries)
+def determinant(m: IntMatrix | Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an IntMatrix, or of the square matrix with the
+    given rows, so that a caller holding rows builds no IntMatrix."""
+    rows = m.entries if isinstance(m, IntMatrix) else m
+    if rows and set(map(len, rows)) != {len(rows)}:
+        raise NonSquare(f"{len(rows)}x{len(rows[0])} matrix has no determinant")
+    return _bareiss(rows)
 
 
 def _bareiss(rows: Sequence[Sequence[int]]) -> int:
@@ -111,8 +113,14 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> int:
     Both rules change no value the full update would compute, so the result
     stays exact, and a sparse matrix whose pivots stay +-1 (a signed
     permutation, a flip certificate) updates only the rows it must.
+    Matrices of size 2 and 3 take the cofactor expansion instead.
     """
     n = len(rows)
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     if n == 0:
         return 1
     a = [list(r) for r in rows]

@@ -21,7 +21,9 @@ cycle of top cones and skipped unchanged rows; and the incidence
 matrices of surfaces with their rays sorted by angle, which the library
 wrote out before it read the matrices from one walk of that cycle; and the Gauss-Jordan
 elimination over Q and the Hermite-form integer solver the library used
-before every inverse came from one integer adjugate; and the plane order
+before every inverse came from one integer adjugate; the Leibniz
+expansion of the determinant, against which the closed forms of small
+sizes are checked; and the plane order
 by rational cotangents and the chart signature read through the chart's
 inverse the library used before it compared cross products and read the
 signature from wall relations; and the chart-signature index with its
@@ -210,16 +212,22 @@ def ell_shadow(fan):
                             wall_spans=tuple(spans), det_divisor=divisor)
 
 
+def multiset_differences(a, b):
+    """The multiset differences a - b and b - a of two sequences of
+    classes, counted in hash tables, each sorted by ``sort_key``."""
+    ca, cb = Counter(a), Counter(b)
+    return (tuple(sorted((ca - cb).elements(), key=lambda s: s.sort_key())),
+            tuple(sorted((cb - ca).elements(), key=lambda s: s.sort_key())))
+
+
 def span_witness(a, b):
     """The wall-span verdict on two shadows, by counting spans in hash
     tables; None when the span multisets agree."""
-    ca, cb = Counter(a.wall_spans), Counter(b.wall_spans)
-    if ca == cb:
+    if Counter(a.wall_spans) == Counter(b.wall_spans):
         return None
-    only_a = tuple(sorted((ca - cb).elements(), key=lambda s: s.sort_key()))
-    only_b = tuple(sorted((cb - ca).elements(), key=lambda s: s.sort_key()))
     return ellinv.Verdict(ellinv.NOT_ISOMORPHIC,
-                          ellinv.Witness("wall-span-mismatch", (only_a, only_b)),
+                          ellinv.Witness("wall-span-mismatch",
+                                         multiset_differences(a.wall_spans, b.wall_spans)),
                           ellinv.RULE_SPANS)
 
 
@@ -632,6 +640,19 @@ def bareiss(rows):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def leibniz_determinant(rows):
+    """The determinant as the sum over all permutations of the signed
+    products of entries, each sign read from the permutation's inversions."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
 
 
 def matmul(a, b):

@@ -263,6 +263,17 @@ def test_boolean_coordinates_exit_two(tmp_path):
     assert_input_error(run_cli("validate", str(path)), str(path), "rays[0]")
 
 
+def test_metadata_of_the_wrong_type_exits_two(tmp_path):
+    p2 = {"schema_version": "1", "ambient_rank": 2,
+          "rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [0, 2]]}
+    for k, (metadata, field) in enumerate((([1], "metadata"), ("x", "metadata"),
+                                           ({"name": 5}, "metadata.name"),
+                                           ({"source": ["a"]}, "metadata.source"))):
+        path = tmp_path / f"meta{k}.fan.json"
+        path.write_text(json.dumps(dict(p2, metadata=metadata)))
+        assert_input_error(run_cli("validate", str(path)), str(path), field)
+
+
 def test_deeply_nested_json_exits_two(tmp_path):
     path = tmp_path / "deep.fan.json"
     path.write_text('{"a":' * 100_000)

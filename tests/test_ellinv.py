@@ -13,6 +13,7 @@ from torell.ellinv import (
     compare,
     ell_shadow,
     _cycle,
+    _sorted_differences,
     flip_certificate,
     mv_ladder,
 )
@@ -26,7 +27,7 @@ from torell.errors import (
     TorellError,
 )
 from torell.fan import Fan, fan_isomorphic, walls
-from torell.lattice import IntMatrix, determinant
+from torell.lattice import IntMatrix, determinant, saturate
 
 from conftest import grown_reversal_pair, shuffled_fan, single_reversal_pairs
 
@@ -132,6 +133,32 @@ class TestEllShadow:
             s = ell_shadow(fan)
             counts = Counter(s.wall_spans)
             assert dict((cls, -coeff) for coeff, cls in s.det_divisor) == dict(counts)
+            assert [cls for _, cls in s.det_divisor] == sorted(counts, key=lambda c: c.sort_key())
+            # The affine fans have no interior wall.
+            assert bool(s.det_divisor) != name.startswith("affine"), name
+
+
+def class_pool(rng, n):
+    """Up to four classes of rank n - 1 in Z^n."""
+    pool = set()
+    while len(pool) < min(4, 2 ** (n - 1)):
+        span = saturate([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n - 1)], n)
+        if span.rank == n - 1:
+            pool.add(span)
+    return sorted(pool, key=lambda s: s.sort_key())
+
+
+class TestSortedDifferences:
+    def test_against_the_counter_oracle(self):
+        # Sorted multisets with repeats, empty ones included, drawn from
+        # one pool so that they share classes.
+        rng = random.Random(2207)
+        for _ in range(300):
+            pool = class_pool(rng, rng.randint(1, 3))
+            a, b = (tuple(sorted(rng.choices(pool, k=rng.randint(0, 8)),
+                                 key=lambda s: s.sort_key())) for _ in range(2))
+            assert _sorted_differences(a, b) == oracles.multiset_differences(a, b)
+            assert _sorted_differences(a, a) == ((), ())
 
 
 class TestLadder:

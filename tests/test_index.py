@@ -328,7 +328,11 @@ def assert_walls_agree(fan):
     assert found == oracles.walls(fan)
     assert found is walls(fan)
     assert all(w.normal == primitive_normal(w.span) for w in found)
-    assert ell_shadow(fan) == oracles.ell_shadow(fan)
+    shadow, again = ell_shadow(fan), ell_shadow(fan)
+    assert shadow == oracles.ell_shadow(fan)
+    # A new shadow on every call, holding the divisor the fan derived once.
+    assert again == shadow and again is not shadow
+    assert again.det_divisor is shadow.det_divisor
 
 
 def assert_verdicts_agree(fa, fb):

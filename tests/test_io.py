@@ -16,6 +16,7 @@ from torell.fan_io import (
     load_corpus_fan,
     make_report,
     parse_fan,
+    parse_fan_document,
     parse_ray_text,
     parse_triangulation,
     triangulation_json,
@@ -68,6 +69,20 @@ class TestParse:
                 parse_fan(json.dumps(doc))
         with pytest.raises(SchemaError, match="ambient_rank"):
             parse_fan(json.dumps(dict(p2, ambient_rank=True)))
+
+    def test_metadata_is_an_object_with_string_fields(self):
+        p2 = {"schema_version": "1", "ambient_rank": 2,
+              "rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [0, 2]]}
+        meta = {"name": "p2", "source": "P^2", "note": [1]}
+        assert parse_fan_document(json.dumps(dict(p2, metadata=meta)))[1] == meta
+        assert parse_fan_document(json.dumps(p2))[1] == {}
+        for bad in ([1], "x", None, 3):
+            with pytest.raises(SchemaError, match="^metadata must be an object$"):
+                parse_fan_document(json.dumps(dict(p2, metadata=bad)))
+        for key in ("name", "source"):
+            for bad in (5, None, ["p2"], {"x": 1}):
+                with pytest.raises(SchemaError, match=rf"^metadata\.{key} must be a string$"):
+                    parse_fan_document(json.dumps(dict(p2, metadata={key: bad})))
 
     def test_json_errors_name_line_and_column(self):
         with pytest.raises(ParseError, match="line 2, column"):

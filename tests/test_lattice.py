@@ -146,6 +146,9 @@ class TestDeterminant:
     def test_non_square(self):
         with pytest.raises(NonSquare):
             determinant(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+        for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4, 5]], [[1, 2, 3]] * 3 + [[4]]):
+            with pytest.raises(NonSquare):
+                determinant(rows)
 
     def assert_exact(self, rows):
         det = determinant(IntMatrix.from_rows(rows))
@@ -181,6 +184,25 @@ class TestDeterminant:
     @given(sparse_matrices)
     def test_sparse_matrices(self, rows):
         self.assert_exact(rows)
+
+    def test_closed_forms_against_the_leibniz_expansion(self):
+        # Sizes 2 and 3 take closed forms, the others elimination.  A
+        # singular matrix has one row replaced by a combination of the
+        # others: a zero row, a repeated row or a sum of several.
+        rng = random.Random(2205)
+        for n in range(6):
+            for _ in range(40):
+                rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                assert determinant(rows) == oracles.leibniz_determinant(rows)
+                assert determinant(IntMatrix.from_rows(rows)) == determinant(rows)
+                if n:
+                    i = rng.randrange(n)
+                    coeffs = [0 if r == i else rng.choice((-2, -1, 0, 0, 1, 2)) for r in range(n)]
+                    singular = [row[:] for row in rows]
+                    singular[i] = [sum(c * row[col] for c, row in zip(coeffs, rows))
+                                   for col in range(n)]
+                    assert determinant(singular) == 0
+                    assert oracles.leibniz_determinant(singular) == 0
 
     def test_against_cofactor_expansion(self):
         rng = random.Random(1729)
