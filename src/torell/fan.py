@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
-from itertools import permutations
+from itertools import groupby, permutations
 from math import factorial
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -268,19 +268,14 @@ class Fan:
 
     @cached_property
     def _interior_spans(self) -> tuple[SublatticeClass, ...]:
-        """The spans of the interior walls, sorted by ``sort_key``.  They
-        share ambient rank and rank, so their bases give that order."""
-        return tuple(sorted((w.span for w in self._walls if w.interior),
-                            key=lambda s: s.basis))
+        """The spans of the interior walls, sorted."""
+        return tuple(sorted(w.span for w in self._walls if w.interior))
 
     @cached_property
     def _det_divisor(self) -> tuple[tuple[int, SublatticeClass], ...]:
         """(-multiplicity, class) for each distinct interior wall span, in
-        the spans' order.  Equal classes are adjacent in the sorted spans;
-        they share ambient rank, so equal bases mark them."""
-        spans = self._interior_spans
-        starts = [k for k, s in enumerate(spans) if not k or s.basis != spans[k - 1].basis]
-        return tuple((k - end, spans[k]) for k, end in zip(starts, starts[1:] + [len(spans)]))
+        the spans' order.  Equal classes are adjacent in the sorted spans."""
+        return tuple((-len(list(run)), s) for s, run in groupby(self._interior_spans))
 
     @cached_property
     def _lines(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -288,9 +283,8 @@ class Fan:
         in the same order, sorted by line and then by ray.
 
         In the plane every ray is a wall.  A ray is primitive, so its line
-        is the basis row of that wall's span, the ray sign-normalised, and
-        ordering lines by that row is ordering their classes by
-        ``sort_key``.  The rows are the spans' own, not copies.
+        is the basis row of that wall's span, the ray sign-normalised.  The
+        rows are the spans' own, not copies.
         """
         rows = sorted((w.span.basis[0], self.rays[i], i) for w in self._walls for i in w.cone)
         return tuple(line for line, _, _ in rows), tuple(i for _, _, i in rows)

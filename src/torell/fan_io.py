@@ -320,7 +320,7 @@ def skeleton_json(g: MomentGraph) -> dict:
     """The moment graph's partial skeleton, the part the shadow keeps: the
     vertex count and the sorted multiset of compact-edge isotropy classes,
     with no incidence."""
-    labels = sorted((e.isotropy for e in g.edges if e.compact), key=lambda s: s.sort_key())
+    labels = sorted(e.isotropy for e in g.edges if e.compact)
     return {"vertex_count": len(g.vertices),
             "edge_labels": [sublattice_json(c) for c in labels]}
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import index
+from operator import index, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, NonSquare, WrongCorank
@@ -288,28 +288,33 @@ def sign_normalized(v: Vector) -> Vector:
     return v
 
 
-@dataclass(frozen=True, slots=True)
-class SublatticeClass:
+class SublatticeClass(tuple):
     """Canonical representative of a saturated sublattice of Z^n.
 
     The basis rows are the Hermite normal form of any generating set, with
     zero rows dropped, so two classes are equal exactly when they describe
-    the same saturated sublattice.
+    the same saturated sublattice.  A class is the tuple (ambient_rank,
+    rank, basis), and compares, hashes and sorts as that tuple.
     """
 
-    ambient_rank: int
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
+    def __new__(cls, ambient_rank: int, basis: tuple[tuple[int, ...], ...]):
+        return tuple.__new__(cls, (ambient_rank, len(basis), basis))
+
+    def __getnewargs__(self):
+        return self[0], self[2]
+
+    ambient_rank = property(itemgetter(0))
+    rank = property(itemgetter(1))
+    basis = property(itemgetter(2))
 
     @property
     def corank(self) -> int:
-        return self.ambient_rank - self.rank
+        return self[0] - self[1]
 
-    def sort_key(self):
-        return (self.ambient_rank, self.rank, self.basis)
+    def __repr__(self) -> str:
+        return f"SublatticeClass(ambient_rank={self[0]!r}, basis={self[2]!r})"
 
     def describe(self) -> str:
         gens = ", ".join("(" + ",".join(str(x) for x in row) + ")" for row in self.basis)

@@ -28,11 +28,14 @@ by rational cotangents and the chart signature read through the chart's
 inverse the library used before it compared cross products and read the
 signature from wall relations; and the chart-signature index with its
 table of per-ordering places and integer codes the library built before
-one function keyed it with ordered top cones.  They are slow but
+one function keyed it with ordered top cones; and the sublattice class
+as the frozen dataclass with a sort key the library used before a class
+became the tuple (ambient_rank, rank, basis).  They are slow but
 follow the definitions literally, so the fast code is checked against them.
 """
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
@@ -179,6 +182,30 @@ def is_proper(fan):
                for w in cones_of_dim(fan, fan.ambient_rank - 1))
 
 
+@dataclass(frozen=True, slots=True)
+class DataclassSublattice:
+    """A saturated sublattice of Z^n as its ambient rank and Hermite basis,
+    compared field by field and sorted by ``sort_key``."""
+
+    ambient_rank: int
+    basis: tuple[tuple[int, ...], ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
+
+    @property
+    def corank(self) -> int:
+        return self.ambient_rank - self.rank
+
+    def sort_key(self):
+        return (self.ambient_rank, self.rank, self.basis)
+
+    def describe(self) -> str:
+        gens = ", ".join("(" + ",".join(str(x) for x in row) + ")" for row in self.basis)
+        return f"span{{{gens}}}" if gens else "0"
+
+
 def saturate(vectors, n):
     """Saturation as the double orthogonal complement, in Hermite form."""
     perp = kernel_basis(vectors, n)
@@ -205,19 +232,18 @@ def walls(fan):
 
 def ell_shadow(fan):
     """The shadow with its divisor counted in a hash table and sorted again."""
-    spans = sorted((w.span for w in walls(fan) if w.interior), key=lambda s: s.sort_key())
+    spans = sorted(w.span for w in walls(fan) if w.interior)
     divisor = tuple(sorted(((-mult, cls) for cls, mult in Counter(spans).items()),
-                           key=lambda t: t[1].sort_key()))
+                           key=lambda t: t[1]))
     return ellinv.EllShadow(ambient_rank=fan.ambient_rank, rank=len(top_cones(fan)),
                             wall_spans=tuple(spans), det_divisor=divisor)
 
 
 def multiset_differences(a, b):
     """The multiset differences a - b and b - a of two sequences of
-    classes, counted in hash tables, each sorted by ``sort_key``."""
+    classes, counted in hash tables, each sorted."""
     ca, cb = Counter(a), Counter(b)
-    return (tuple(sorted((ca - cb).elements(), key=lambda s: s.sort_key())),
-            tuple(sorted((cb - ca).elements(), key=lambda s: s.sort_key())))
+    return tuple(sorted((ca - cb).elements())), tuple(sorted((cb - ca).elements()))
 
 
 def span_witness(a, b):
@@ -288,8 +314,7 @@ def fan_isomorphic(f, g):
 
 def ray_line_classes(fan):
     """The lines of the rays, each saturated from its ray."""
-    return sorted((saturate([r], fan.ambient_rank) for r in fan.rays),
-                  key=lambda s: s.sort_key())
+    return sorted(saturate([r], fan.ambient_rank) for r in fan.rays)
 
 
 def ray_bijection(fa, fb):
@@ -301,7 +326,7 @@ def ray_bijection(fa, fb):
         return groups
     ga, gb = grouped(fa), grouped(fb)
     pairs = []
-    for cls in sorted(ga, key=lambda s: s.sort_key()):
+    for cls in sorted(ga):
         for ra, rb in zip(sorted(ga[cls]), sorted(gb[cls])):
             pairs.append((ra, rb))
     return tuple(pairs)

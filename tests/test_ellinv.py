@@ -1,7 +1,9 @@
 """Shadow invariants, comparison verdicts, the cycle of top cones, certificates."""
 
 import random
+import sys
 from collections import Counter
+from operator import eq
 
 import pytest
 
@@ -133,7 +135,7 @@ class TestEllShadow:
             s = ell_shadow(fan)
             counts = Counter(s.wall_spans)
             assert dict((cls, -coeff) for coeff, cls in s.det_divisor) == dict(counts)
-            assert [cls for _, cls in s.det_divisor] == sorted(counts, key=lambda c: c.sort_key())
+            assert [cls for _, cls in s.det_divisor] == sorted(counts)
             # The affine fans have no interior wall.
             assert bool(s.det_divisor) != name.startswith("affine"), name
 
@@ -145,7 +147,7 @@ def class_pool(rng, n):
         span = saturate([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n - 1)], n)
         if span.rank == n - 1:
             pool.add(span)
-    return sorted(pool, key=lambda s: s.sort_key())
+    return sorted(pool)
 
 
 class TestSortedDifferences:
@@ -155,10 +157,45 @@ class TestSortedDifferences:
         rng = random.Random(2207)
         for _ in range(300):
             pool = class_pool(rng, rng.randint(1, 3))
-            a, b = (tuple(sorted(rng.choices(pool, k=rng.randint(0, 8)),
-                                 key=lambda s: s.sort_key())) for _ in range(2))
+            a, b = (tuple(sorted(rng.choices(pool, k=rng.randint(0, 8)))) for _ in range(2))
             assert _sorted_differences(a, b) == oracles.multiset_differences(a, b)
             assert _sorted_differences(a, a) == ((), ())
+
+
+def python_calls(function, *args):
+    """The names of the Python functions a call runs, the called one
+    included, in order; calls into C are not counted."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+class TestComparisonsRunInC:
+    """Classes compare, hash and sort as tuples, so comparing shadows of
+    204-ray surfaces runs no Python code besides the merge itself."""
+
+    def test_relabelled_spans_compare_with_no_python_call(self):
+        fan, _, _ = grown_reversal_pair(random.Random(2311), 204)
+        copy = shuffled_fan(fan, random.Random(1))
+        a, b = ell_shadow(fan).wall_spans, ell_shadow(copy).wall_spans
+        assert len(a) == 204 and a == b and all(x is not y for x, y in zip(a, b))
+        assert python_calls(eq, a, b) == []
+
+    def test_sorted_differences_calls_nothing(self):
+        a, b = (ell_shadow(grown_reversal_pair(random.Random(seed), 204)[0]).wall_spans
+                for seed in (2312, 2313))
+        assert len(a) == len(b) == 204 and a != b
+        assert python_calls(_sorted_differences, a, b) == ["_sorted_differences"]
+        assert _sorted_differences(a, b) == oracles.multiset_differences(a, b)
 
 
 class TestLadder:

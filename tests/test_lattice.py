@@ -1,5 +1,7 @@
 """Integer linear algebra: normal forms, saturation, normals, determinants."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import prod
@@ -12,6 +14,7 @@ import oracles
 from torell.errors import DimensionMismatch, NonSquare, WrongCorank
 from torell.lattice import (
     IntMatrix,
+    SublatticeClass,
     adjugate,
     determinant,
     hnf,
@@ -247,6 +250,58 @@ class TestSaturate:
         combo = tuple(sum(c * v[i] for c, v in zip(coeffs, vectors))
                       for i in range(3))
         assert saturate(vectors) == saturate(list(vectors) + [combo])
+
+
+def class_pairs(rng, count):
+    """Random classes of ambient rank 1 to 4 and every rank, repeats
+    included, each with the oracle dataclass holding the same entries."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        cls = saturate([[rng.randint(-2, 2) for _ in range(n)]
+                        for _ in range(rng.randint(0, n))], n)
+        out.append((cls, oracles.DataclassSublattice(cls.ambient_rank, cls.basis)))
+    return out
+
+
+class TestSublatticeClass:
+    def test_order_equality_and_hash_against_the_dataclass(self):
+        pairs = class_pairs(random.Random(2301), 120)
+        assert {cls.rank for cls, _ in pairs} == {0, 1, 2, 3, 4}
+        for cls, old in pairs:
+            assert (cls.ambient_rank, cls.rank, cls.basis, cls.corank) == \
+                (old.ambient_rank, old.rank, old.basis, old.corank)
+            assert cls == old.sort_key() and hash(cls) == hash(old.sort_key())
+            for other, other_old in pairs:
+                assert (cls == other) == (old == other_old)
+                assert (cls < other) == (old.sort_key() < other_old.sort_key())
+        assert len({cls for cls, _ in pairs}) == len({old for _, old in pairs}) < len(pairs)
+        olds = sorted((old for _, old in pairs), key=lambda o: o.sort_key())
+        assert [(c.ambient_rank, c.basis) for c in sorted(cls for cls, _ in pairs)] == \
+            [(o.ambient_rank, o.basis) for o in olds]
+
+    def test_copies_and_pickles_round_trip(self):
+        for cls, _ in class_pairs(random.Random(2302), 30):
+            copies = [copy.copy(cls), copy.deepcopy(cls)]
+            copies += [pickle.loads(pickle.dumps(cls, protocol))
+                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for c in copies:
+                assert type(c) is SublatticeClass and c == cls
+                assert (c.ambient_rank, c.rank, c.basis) == (cls.ambient_rank, cls.rank, cls.basis)
+
+    def test_immutable(self):
+        cls = saturate([(1, 2, 0)], 3)
+        for name in ("ambient_rank", "rank", "basis", "corank", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(cls, name, 0)
+        assert cls == SublatticeClass(3, ((1, 2, 0),))
+
+    def test_repr_and_describe_unchanged(self):
+        for cls, old in class_pairs(random.Random(2303), 30):
+            assert repr(cls) == repr(old).replace("DataclassSublattice", "SublatticeClass", 1)
+            assert cls.describe() == old.describe()
+        assert repr(SublatticeClass(2, ((1, 0),))) == \
+            "SublatticeClass(ambient_rank=2, basis=((1, 0),))"
 
 
 class TestPrimitiveNormal:

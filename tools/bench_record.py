@@ -5,7 +5,12 @@
 For each workload the benchmark's own runner, ``perfbench/run.py``, runs
 once untraced for ``SECONDS`` (the end-to-end metrics) and once traced for
 ``TRACE_SECONDS`` (the per-layer counts and self times), both on ``SEED``.
-These are fixed, so that the points of the trajectory compare.  Then the
+These are fixed, so that the points of the trajectory compare.  Each
+untraced run also records the pass count the runner prints on stderr
+(``passes``, null when that line is missing), which ``peak_rss_mib`` grows
+with, and whether ``PYTHONDONTWRITEBYTECODE`` was set
+(``pythondontwritebytecode``), which decides whether the ``cli`` children
+compile torell from source.  Then the
 tier-1 tests run.  The file written at the repo root holds every run's
 output, the Python version, the line count of ``src/torell``, the tier-1
 counts and wall time, and whether any ``.pyc`` file under the repo was
@@ -45,13 +50,19 @@ def run(command, env=None) -> subprocess.CompletedProcess:
 
 
 def bench(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The JSON result the runner prints on its last line of stdout."""
+    """The JSON result the runner prints on its last line of stdout, with
+    the pass count and the bytecode setting of an untraced run."""
     done = run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                 "--seconds", str(seconds), "--trace", str(trace)])
     if done.returncode != 0:
         raise SystemExit(f"error: perfbench/run.py --workload {workload} exited "
                          f"{done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    if not trace:
+        found = re.search(rf"^{re.escape(workload)}: (\d+) passes of ", done.stderr, re.M)
+        result["passes"] = int(found.group(1)) if found else None
+        result["pythondontwritebytecode"] = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
+    return result
 
 
 def tier1() -> dict:
