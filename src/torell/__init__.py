@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cech": (
-        "CechPoset", "CoverElement", "WitnessReport", "cech_poset", "cohomology_witness",
-        "cover", "poset_witness",
+        "CechPoset", "CoverElement", "WitnessReport", "cech_poset", "cohomology_witness", "cover",
     ),
     "ellinv": (
         "ISOMORPHIC", "NOT_ISOMORPHIC", "UNKNOWN", "EllShadow", "MayerVietorisLadder",

@@ -10,7 +10,8 @@ shared wall under the permutation matching shared rays.
 The cover and its closure under intersection are listed in closed form, one
 element per cone and letter word on its rays; a fan that would list more
 than WORK_LIMIT elements, or write more than WORK_LIMIT chart words for
-them, is refused before any is built.
+them, is refused before any is built.  The cohomology witness is read off
+the fan's interior walls, one entry per wall, and builds no poset.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
-from .errors import WORK_LIMIT, DisconnectedStar, NotGood, TooLarge, TorellError, WitnessNotFound
+from .errors import WORK_LIMIT, DisconnectedStar, NotGood, TooLarge, TorellError
 from .fan import Cone, Fan
 
 
@@ -185,14 +186,6 @@ class CechPoset:
                               f"does not lie over the common charts {tuple(sorted(common))}")
         return element
 
-    def cover(self) -> tuple[CoverElement, ...]:
-        """The distinguished cover the poset closes: its grade-0 elements.
-
-        Cover elements carry no c, and the meet of two distinct elements
-        puts a c wherever their letters differ, so nothing else has grade 0.
-        """
-        return tuple(e for e in self.elements if e.grade == 0)
-
     def grading(self) -> dict[int, tuple[CoverElement, ...]]:
         out: dict[int, list[CoverElement]] = {}
         for e in self.elements:
@@ -224,51 +217,41 @@ class WitnessReport:
 
 
 def cohomology_witness(fan: Fan) -> WitnessReport:
-    """Match every singular top-grade-minus-one element with smooth covers.
+    """Match every singular element of grade n - 1 with smooth covers,
+    read off the fan's interior walls; no poset is built.
 
-    Such an element lives over an interior wall with all-c letters; its two
-    irreducible components are the all-c opens of the neighbouring charts,
-    and each component must also sit inside a smooth single-chart element
-    whose word has a single b at the wall's divisor position and c
-    elsewhere.  Finding these witnesses for every singular element is the
-    combinatorial reason the top coherent cohomology has one dimension per
-    top cone.
+    An element of grade n - 1 has n - 1 c's: a wall with all c's or a top
+    cone with one b.  Its support, the star of that cone, holds two top
+    cones exactly when the cone is an interior wall, on top cones with ids
+    i < j; in each chart its word is c on the wall and a at the ray off it,
+    whose place is the divisor position.  The chart's all-c open, one
+    irreducible component, lies in the smooth element with b at that
+    position and c elsewhere.  These witnesses are the combinatorial reason
+    the top coherent cohomology has one dimension per top cone.  Entries
+    are sorted by support, the poset's order on one grade, since no two
+    walls lie on the same two top cones.
     """
-    return poset_witness(cech_poset(fan))
+    if not fan.is_good():
+        raise NotGood("the distinguished cover is defined for good fans")
+    n = fan.ambient_rank
+    place = {top: i for i, top in enumerate(fan.top_cones())}
 
+    def word(letter, k):
+        return "c" * k + letter + "c" * (n - 1 - k)
 
-def poset_witness(poset: CechPoset) -> WitnessReport:
-    """``cohomology_witness`` of the fan whose poset is already built."""
-    n = poset.ambient_rank
     entries = []
-    singulars = [e for e in poset.elements
-                 if e.grade == n - 1 and len(e.support) > 1]
-    for e in singulars:
-        comps = []
-        covers = []
-        positions = []
-        for cid, word in zip(e.support, e.words):
-            cone = poset.tops[cid]
-            pos = word.index("a")
-            positions.append(pos)
-            all_c = tuple(sorted((r, "c") for r in cone))
-            component = poset.find(all_c)
-            single_b = tuple(sorted((r, "b" if i == pos else "c")
-                                    for i, r in enumerate(cone)))
-            smooth_cover = poset.find(single_b)
-            if component is None or smooth_cover is None:
-                raise WitnessNotFound(
-                    f"no smooth witness for singular element over chart {cone}")
-            if not (poset.leq(component, e) and poset.leq(component, smooth_cover)):
-                raise WitnessNotFound(
-                    f"witness containment fails over chart {cone}")
-            comps.append(component)
-            covers.append(smooth_cover)
+    for ids, wall, upper in sorted((tuple(place[top] for top in upper), wall, upper)
+                                   for wall, upper in fan._incidence.upper.items()
+                                   if len(upper) == 2):
+        pos = tuple(next(k for k, r in enumerate(top) if r not in wall) for top in upper)
         entries.append(WitnessEntry(
-            singular=e,
-            components=(comps[0], comps[1]),
-            smooth_covers=(covers[0], covers[1]),
-            divisor_positions=(positions[0], positions[1]),
+            singular=CoverElement(ids, tuple(word("a", k) for k in pos), n - 1,
+                                  tuple((r, "c") for r in wall)),
+            components=tuple(CoverElement((i,), ("c" * n,), n, tuple((r, "c") for r in top))
+                             for i, top in zip(ids, upper)),
+            smooth_covers=tuple(CoverElement((i,), (word("b", k),), n - 1,
+                                             tuple((r, "c" if r in wall else "b") for r in top))
+                                for i, top, k in zip(ids, upper, pos)),
+            divisor_positions=pos,
         ))
-    return WitnessReport(ambient_rank=n, entries=tuple(entries),
-                         singular_count=len(singulars))
+    return WitnessReport(ambient_rank=n, entries=tuple(entries), singular_count=len(entries))

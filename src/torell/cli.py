@@ -172,9 +172,8 @@ def _cmd_cech(args) -> int:
     f, name, data = fan_io.resolve_fan_argument(args.fan, args.corpus)
     with fan_io.operand(name):
         poset = cech.cech_poset(f)
-        witness = cech.poset_witness(poset)
-    result = {"fan": name, "cover_size": len(poset.cover()),
-              **fan_io.cech_json(poset, witness)}
+        witness = cech.cohomology_witness(f)
+    result = {"fan": name, **fan_io.cech_json(poset, witness)}
     lines = [f"{name}: cover size {result['cover_size']}, "
              f"poset size {result['element_count']}, "
              f"singular top-grade elements {witness.singular_count}"]
@@ -207,7 +206,8 @@ def _cmd_flop(args) -> int:
     from . import triang
 
     t, name, data = _resolve_triangulation(args.triangulation)
-    moves, alias_of = _flip_listing(t)
+    with fan_io.operand(name):
+        moves, alias_of = _flip_listing(t)
     listing = [{"id": i,
                 "aliases": sorted(alias_of[m]),
                 "removed_edge": list(m.removed_edge),
@@ -230,11 +230,12 @@ def _cmd_flop(args) -> int:
         raise TorellError(f"no flip with id {args.apply!r}; use --list")
     from . import ellinv
 
-    flipped, certificate = triang.apply_flip(t, chosen)
-    fan_before = triang.cone_fan(t)
-    fan_after = triang.cone_fan(flipped)
-    verdict = ellinv.compare(ellinv.ell_shadow(fan_before), ellinv.ell_shadow(fan_after),
-                             fans=(fan_before, fan_after))
+    with fan_io.operand(name):
+        flipped, certificate = triang.apply_flip(t, chosen)
+        fan_before = triang.cone_fan(t)
+        fan_after = triang.cone_fan(flipped)
+        verdict = ellinv.compare(ellinv.ell_shadow(fan_before), ellinv.ell_shadow(fan_after),
+                                 fans=(fan_before, fan_after))
     result = {
         "triangulation": fan_io.triangulation_json(t),
         "flipped": fan_io.triangulation_json(flipped),

@@ -74,10 +74,6 @@ class DisconnectedStar(TorellError):
     spreading recipe for the distinguished cover is not well defined."""
 
 
-class WitnessNotFound(TorellError):
-    """No smooth cover element with the required letter pattern exists."""
-
-
 # --- triangulations -------------------------------------------------------
 
 class NotDim2(TorellError):

@@ -124,7 +124,7 @@ def facet_sides(cells: Sequence[Cone], dets: Sequence[int]
     return on, min(clashes, default=None)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class _Incidence:
     """Incidence data of a fan, derived once and shared by every query.
 
@@ -224,6 +224,18 @@ class Fan:
         # Good: smooth, and every maximal cone is top-dimensional.
         good = smooth and len(tops) == len(maximal)
         proper = bool(tops) and all(len(u) == 2 for u in upper.values())
+        if proper and n >= 3:
+            # Complete top cones must cover space once (see is_proper).
+            if len(tops) < len(maximal):
+                raise MalformedFan(f"maximal cone {min(set(maximal) - set(tops))} lies "
+                                   f"inside the space that the top cones cover")
+            point = [sum(column) for column in zip(*(rays[i] for i in tops[0]))]
+            for top in tops[1:]:
+                # The point's coordinates in the chart of top, times det^2.
+                d, adj = adjugate([rays[i] for i in top])
+                if all(d * sum(map(mul, column, point)) >= 0 for column in zip(*adj)):
+                    raise MalformedFan(f"top cones {tops[0]} and {top} overlap: both hold "
+                                       f"the sum of the rays of {tops[0]}")
         object.__setattr__(self, "_incidence",
                            _Incidence(maximal, tops, upper, smooth, good, proper))
 
@@ -345,7 +357,14 @@ class Fan:
 
         For a valid fan this is equivalent to every (n-1)-dimensional cone
         lying on exactly two top-dimensional cones: a wall seen by only one
-        top cone is a facet of the support's boundary.
+        top cone is a facet of the support's boundary.  Construction makes
+        such top cones cover space once.  They lie on opposite sides of each
+        wall, so a path crossing walls off the (n-2)-cones swaps one top cone
+        for another, and the number of top cones over a point off the walls
+        is constant (the plane check settles rank 2).  The sum of the first
+        top cone's rays lies inside it, so the number is one exactly when no
+        other top cone holds that sum, even on its boundary; a maximal cone
+        of lower dimension would then lie in a top cone without being a face.
         """
         return self._incidence.proper
 
@@ -357,15 +376,15 @@ class FanReport:
     proper: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Wall:
     """An (n-1)-dimensional cone with its neighbouring top cones."""
 
     cone: Cone
     upper: tuple[Cone, ...]
     span: SublatticeClass
-    # A slot rather than a cached_property: on a fresh fan the first read of
-    # every wall's normal costs a third as much, and a Wall has no __dict__.
+    # Written once, not a cached_property, which takes a lock under CPython
+    # 3.11: on a fresh fan the first read of each normal costs a quarter as much.
     _normal: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False,
                                                compare=False)
 

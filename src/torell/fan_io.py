@@ -336,6 +336,7 @@ def cech_json(poset: CechPoset, witness: WitnessReport) -> dict:
     for e in poset.elements:
         histogram[len(e.support)] = histogram.get(len(e.support), 0) + 1
     return {
+        "cover_size": len(grading[0]),       # no c: the cover the poset closes
         "element_count": len(poset.elements),
         "counts_per_grade": {str(k): len(v) for k, v in grading.items()},
         "support_size_histogram": {str(k): v for k, v in sorted(histogram.items())},

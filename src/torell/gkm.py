@@ -15,7 +15,7 @@ from .fan import Cone, Fan, walls
 from .lattice import SublatticeClass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class GraphEdge:
     endpoints: tuple[int, ...]        # one or two vertex ids
     label: tuple[int, ...]            # primitive covector, sign-normalized

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -241,6 +242,38 @@ def planted_fan_data(draw):
             rays.append(v)
         cones.append([a, b, rays.index(v)])
     return n, rays, cones
+
+
+def projective_line_power_data(n):
+    """(n, rays, top cones) of (P^1)^n: rays +-e_k, one top cone per
+    choice of signs."""
+    rays = [tuple(sign * (i == k) for i in range(n)) for k in range(n) for sign in (1, -1)]
+    cones = [tuple(2 * k + s for k, s in enumerate(signs)) for signs in product((0, 1), repeat=n)]
+    return n, rays, cones
+
+
+def projective_line_power(n):
+    return Fan.from_cones(*projective_line_power_data(n))
+
+
+def cones_over_cycle(cycle):
+    """(3, rays, cones): the cones over each consecutive pair of a cycle of
+    plane vectors with (0, 0, 1) and with (0, 0, -1)."""
+    m = len(cycle)
+    return (3, [(x, y, 0) for x, y in cycle] + [(0, 0, 1), (0, 0, -1)],
+            [(k, (k + 1) % m, m + s) for k in range(m) for s in (0, 1)])
+
+
+# Complete cone sets in rank 3 that the side rule and the two top cones on
+# every wall let through.  A double cover: 15 plane vectors, consecutive
+# ones of determinant 1, wind twice around the origin, so the cones over
+# their cycle cover every direction twice.
+DOUBLE_COVER_CYCLE = ((1, 0), (-3, 1), (-1, 0), (-3, -1), (-2, -1), (-3, -2), (-1, -1),
+                      (-2, -3), (-1, -2), (-1, -3), (1, 2), (0, 1), (-1, 1), (-3, 2), (1, -1))
+DOUBLE_COVER = cones_over_cycle(DOUBLE_COVER_CYCLE)
+# (P^1)^3 and a lone maximal ray (1, 1, 1) inside its top cone (0, 2, 4).
+LONE_RAY_IN_P1_CUBED = (3, projective_line_power_data(3)[1] + [(1, 1, 1)],
+                        projective_line_power_data(3)[2] + [(6,)])
 
 
 @st.composite

@@ -30,7 +30,9 @@ signature from wall relations; and the chart-signature index with its
 table of per-ordering places and integer codes the library built before
 one function keyed it with ordered top cones; and the sublattice class
 as the frozen dataclass with a sort key the library used before a class
-became the tuple (ambient_rank, rank, basis).  They are slow but
+became the tuple (ambient_rank, rank, basis); and the search of the
+built Čech poset for each singular element's witness the library used
+before it wrote the witness from the fan's interior walls.  They are slow but
 follow the definitions literally, so the fast code is checked against them.
 """
 
@@ -41,7 +43,7 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 from torell import ellinv
-from torell.cech import CoverElement, letter_meet
+from torell.cech import CoverElement, WitnessEntry, WitnessReport, letter_meet
 from torell.errors import DimensionMismatch, DisconnectedStar, NotGood, NotInSL, TorellError
 from torell.fan import Wall, _wall_relation
 from torell.lattice import (
@@ -135,6 +137,14 @@ def one_sided_wall(n, rays, cones):
                 == (rational_determinant(rows + [rays[j]]) > 0)):
             return True
     return False
+
+
+def ray_sum_holders(n, rays, cones):
+    """For each n-cone, the number of n-cones holding the sum of its rays,
+    by exact rational point location; in a fan each number is one."""
+    tops = [[rays[i] for i in c] for c in cones if len(c) == n]
+    return [sum(cone_contains(t, [sum(column) for column in zip(*s)]) for t in tops)
+            for s in tops]
 
 
 def cones_of_dim(fan, d):
@@ -456,6 +466,34 @@ def cech_elements(fan):
                     elements[met.ray_letters] = met
                     changed = True
     return tuple(sorted(elements.values(), key=lambda e: e.sort_key()))
+
+
+def poset_witness(poset):
+    """The cohomology witness found in a built poset: each singular element
+    of grade n - 1, the all-c and single-b elements of its charts looked up
+    by their letters, and both containments checked with ``leq``."""
+    n = poset.ambient_rank
+    entries = []
+    singulars = [e for e in poset.elements if e.grade == n - 1 and len(e.support) > 1]
+    for e in singulars:
+        comps, covers, positions = [], [], []
+        for cid, word in zip(e.support, e.words):
+            cone = poset.tops[cid]
+            pos = word.index("a")
+            positions.append(pos)
+            component = poset.find(tuple(sorted((r, "c") for r in cone)))
+            smooth_cover = poset.find(tuple(sorted((r, "b" if i == pos else "c")
+                                                   for i, r in enumerate(cone))))
+            if component is None or smooth_cover is None:
+                raise TorellError(f"no smooth witness for singular element over chart {cone}")
+            if not (poset.leq(component, e) and poset.leq(component, smooth_cover)):
+                raise TorellError(f"witness containment fails over chart {cone}")
+            comps.append(component)
+            covers.append(smooth_cover)
+        entries.append(WitnessEntry(singular=e, components=tuple(comps),
+                                    smooth_covers=tuple(covers),
+                                    divisor_positions=tuple(positions)))
+    return WitnessReport(ambient_rank=n, entries=tuple(entries), singular_count=len(singulars))
 
 
 def _ccw(tri):

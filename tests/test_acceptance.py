@@ -117,7 +117,7 @@ def test_criterion_5_cube_poset_counts():
 def test_criterion_6_cohomology_witness(corpus_fans):
     with criterion(6, "smooth-cover witnesses exist on the whole corpus"):
         for name, fan in corpus_fans.items():
-            report = cohomology_witness(fan)   # raises WitnessNotFound on failure
+            report = cohomology_witness(fan)
             singulars = [e for e in cech_poset(fan).elements
                          if e.grade == fan.ambient_rank - 1 and len(e.support) == 2]
             assert report.singular_count == len(singulars), name

@@ -11,24 +11,18 @@ from hypothesis import strategies as st
 
 import oracles
 from torell import cech
-from torell.cech import cech_poset, cohomology_witness, cover, poset_witness
+from torell.cech import cech_poset, cohomology_witness, cover
 from torell.errors import DisconnectedStar, NotGood, TooLarge
 from torell.fan import Fan
 from torell.fan_io import cech_json, complete_surface_fan
 
 from conftest import (
     blowup_surfaces,
+    projective_line_power,
     random_blowup_rays,
     random_fans,
     three_delta_cone_fans,
 )
-
-
-def projective_line_power(n):
-    """(P^1)^n: rays +-e_i, one top cone per choice of signs."""
-    rays = [tuple(s if j == i else 0 for j in range(n)) for i in range(n) for s in (1, -1)]
-    cones = [tuple(2 * i + k for i, k in enumerate(signs)) for signs in product((0, 1), repeat=n)]
-    return Fan.from_cones(n, rays, cones)
 
 
 def affine_space(n):
@@ -305,8 +299,7 @@ def cech_report(fan):
     """The poset, its witness and the result of the ``cech`` report, with
     each element's ``smooth`` flag keyed by its support and words."""
     poset = cech_poset(fan)
-    witness = poset_witness(poset)
-    result = cech_json(poset, witness)
+    result = cech_json(poset, cohomology_witness(fan))
     smooth = {(tuple(c["element"]["support"]), tuple(c["element"]["words"])): c["smooth"]
               for c in result["classification"]}
     return poset, result, smooth
@@ -375,12 +368,62 @@ class TestWitness:
             assert report.singular_count == interior, name
 
     def test_one_poset_gives_cover_and_witness(self, corpus_fans):
+        # The poset's grade-0 elements are the cover, and a search of the
+        # poset finds the witness that the walls give.
         rng = random.Random(3)
         surfaces = [complete_surface_fan(random_blowup_rays(rng, k)) for k in (2, 5, 9)]
         for fan in list(corpus_fans.values()) + surfaces:
             poset = cech_poset(fan)
-            assert poset.cover() == cover(fan)
-            assert poset_witness(poset) == cohomology_witness(fan)
+            assert poset.grading()[0] == cover(fan)
+            assert oracles.poset_witness(poset) == cohomology_witness(fan)
+
+
+class TestClosedFormWitness:
+    """The witness written from interior walls is the one a search of the
+    built poset finds, and it needs no poset."""
+
+    def test_equals_the_poset_search(self, corpus_fans):
+        fans = (list(corpus_fans.values()) + blowup_surfaces()
+                + [projective_line_power(n) for n in (2, 3, 4)] + three_delta_cone_fans())
+        for fan in fans:
+            assert cohomology_witness(fan) == oracles.poset_witness(cech_poset(fan))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_fans(), orthant_fans()))
+    def test_equals_the_poset_search_on_random_fans(self, fan):
+        if not fan.is_good():
+            with pytest.raises(NotGood):
+                cohomology_witness(fan)
+            return
+        try:
+            poset = cech_poset(fan)
+        except DisconnectedStar:
+            return
+        assert cohomology_witness(fan) == oracles.poset_witness(poset)
+
+    def test_no_poset_is_built(self, monkeypatch, p2):
+        def listed(*args):
+            raise AssertionError("poset elements were listed")
+
+        monkeypatch.setattr(cech, "_elements", listed)
+        report = cohomology_witness(p2)
+        assert report.singular_count == 3 and len(report.entries) == 3
+
+    def test_a_fan_whose_poset_is_over_the_limit(self):
+        # (P^1)^7: 7 * 2^6 interior walls, and 5^7 poset elements.
+        fan = projective_line_power(7)
+        report = cohomology_witness(fan)
+        assert report.singular_count == len(report.entries) == 448
+        with pytest.raises(TooLarge):
+            cech_poset(fan)
+
+    def test_a_star_that_is_not_wall_connected(self):
+        # Opposite quadrants share only the zero cone: no interior wall.
+        fan = Fan.from_cones(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (2, 3)])
+        assert fan.is_good()
+        assert cohomology_witness(fan).singular_count == 0
+        with pytest.raises(DisconnectedStar):
+            cech_poset(fan)
 
 
 class TestWorkLimit:

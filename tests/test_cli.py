@@ -347,6 +347,22 @@ def test_triangulation_errors_name_the_operand(tmp_path):
     assert_input_error(flop_on(tmp_path, doc), f"error: {tmp_path / 'tri.json'}: cell (0, 2, 5)")
 
 
+def test_flip_errors_name_the_operand(tmp_path):
+    # Flips are defined on triangles: a 3-simplex and a segment are refused.
+    tetrahedron = {"schema_version": "1",
+                   "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                   "points": [[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]],
+                   "cells": [[0, 1, 2, 3]]}
+    segment = {"schema_version": "1", "vertices": [[0], [2]],
+               "points": [[0], [1], [2]], "cells": [[0, 1], [1, 2]]}
+    for doc in (tetrahedron, segment):
+        for extra in (["--list"], ["--apply", "0"]):
+            path = tmp_path / "tri.json"
+            path.write_text(json.dumps(doc))
+            assert_input_error(run_cli("flop", str(path), *extra),
+                               f"error: {path}: flips are implemented for two-dimensional")
+
+
 def test_triangulation_cells_not_a_list_exit_two(tmp_path):
     assert_input_error(flop_on(tmp_path, mu2_document(cells=lambda _: 5)), "cells")
 

@@ -16,11 +16,18 @@ from torell.lattice import IntMatrix, determinant, saturate
 from torell.triang import apply_flip, cone_fan, flips, quotient_simplex, unimodular_triangulations
 
 from conftest import (
+    DOUBLE_COVER,
+    DOUBLE_COVER_CYCLE,
     FLOP_TRIANGLE_GENERATORS,
+    LONE_RAY_IN_P1_CUBED,
     THREE_ON_A_WALL,
     blowup_surfaces,
     planted_fan_data,
+    projective_line_power,
+    projective_line_power_data,
     random_fan_data,
+    cones_over_cycle,
+    random_unimodular,
     shuffled_fan,
     three_delta_cone_fans,
 )
@@ -213,6 +220,60 @@ class TestWallAxiom:
                 Fan.from_cones(n, rays, generators)
         else:
             Fan.from_cones(n, rays, generators)
+
+
+class TestCoveringDegree:
+    """Complete cone sets in rank 3 and above must cover space once."""
+
+    def test_double_cover_refused(self):
+        n, rays, cones = DOUBLE_COVER
+        assert set(oracles.ray_sum_holders(n, rays, cones)) == {2}
+        assert not oracles.one_sided_wall(n, rays, cones)
+        with pytest.raises(MalformedFan, match=r"top cones \(0, 1, 15\) and \(13, 14, 15\) "
+                                               r"overlap: both hold the sum of the rays"):
+            Fan.from_cones(*DOUBLE_COVER)
+
+    def test_a_sum_on_the_boundary_of_other_top_cones_refused(self):
+        # (-3, 2) + (1, -1) = (-2, 1), the sum of the first pair of the cycle:
+        # blowing up the second winding there puts the sum of the first top
+        # cone's rays on the wall of two other top cones.
+        n, rays, cones = cones_over_cycle(
+            DOUBLE_COVER_CYCLE[:14] + ((-2, 1),) + DOUBLE_COVER_CYCLE[14:])
+        assert oracles.ray_sum_holders(n, rays, cones)[0] == 3
+        with pytest.raises(MalformedFan, match=r"top cones \(0, 1, 16\) and \(13, 14, 16\) "
+                                               r"overlap"):
+            Fan.from_cones(n, rays, cones)
+
+    def test_lone_ray_in_a_complete_fan_refused(self):
+        with pytest.raises(MalformedFan, match=r"maximal cone \(6,\) lies inside the space "
+                                               r"that the top cones cover"):
+            Fan.from_cones(*LONE_RAY_IN_P1_CUBED)
+        n, rays, cones = LONE_RAY_IN_P1_CUBED
+        assert Fan.from_cones(n, rays[:-1], cones[:-1]).is_proper()
+
+    def test_refusal_is_the_point_location_verdict(self):
+        # Relabelled rays and lattice automorphisms put other top cones first.
+        rng = random.Random(11)
+        for n, rays, cones in (DOUBLE_COVER, LONE_RAY_IN_P1_CUBED,
+                               projective_line_power_data(3), projective_line_power_data(4)):
+            for _ in range(6):
+                m = random_unimodular(rng, n)
+                perm = list(range(len(rays)))
+                rng.shuffle(perm)
+                moved = [None] * len(rays)
+                for old, new in enumerate(perm):
+                    moved[new] = m.apply(rays[old])
+                relabelled = [[perm[i] for i in cone] for cone in cones]
+                once = (set(oracles.ray_sum_holders(n, moved, relabelled)) == {1}
+                        and all(len(cone) == n for cone in cones))
+                if once:
+                    assert Fan.from_cones(n, moved, relabelled).is_proper()
+                else:
+                    with pytest.raises(MalformedFan):
+                        Fan.from_cones(n, moved, relabelled)
+
+    def test_products_of_projective_lines_accepted(self):
+        assert all(projective_line_power(n).is_proper() for n in range(3, 7))
 
 
 class TestWalls:

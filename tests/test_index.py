@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations
 from math import factorial, gcd
 
 import pytest
@@ -20,6 +20,7 @@ from conftest import (
     THREE_ON_A_WALL,
     blowup_surfaces,
     planted_fan_data,
+    projective_line_power,
     random_fans,
     random_unimodular,
     shuffled_fan,
@@ -214,13 +215,6 @@ def without_first_top_cone(fan):
     return Fan.from_cones(fan.ambient_rank, fan.rays, fan.maximal_cones()[1:])
 
 
-def p1_power(n):
-    """The fan of (P^1)^n: rays +-e_k, one top cone per choice of signs."""
-    rays = [tuple(sign * (i == k) for i in range(n)) for k in range(n) for sign in (1, -1)]
-    cones = [tuple(2 * k + s for k, s in enumerate(signs)) for signs in product((0, 1), repeat=n)]
-    return Fan.from_cones(n, rays, cones)
-
-
 class TestChartIndex:
     def pairs(self, corpus_fans):
         rng = random.Random(47)
@@ -280,7 +274,7 @@ class TestChartIndex:
     def test_an_index_over_the_work_limit_is_refused_before_it_is_built(self):
         # (P^1)^n lists 2^n * n! ordered top cones: 46,080 for n = 6 and
         # 645,120 for n = 7.
-        small, large = p1_power(6), p1_power(7)
+        small, large = projective_line_power(6), projective_line_power(7)
         assert len(small.top_cones()) * factorial(6) <= WORK_LIMIT
         assert fan_isomorphic(small, small) == IntMatrix.identity(6)
         with pytest.raises(TooLarge, match="645120 ordered top cones"):

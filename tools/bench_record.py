@@ -12,9 +12,10 @@ with, and whether ``PYTHONDONTWRITEBYTECODE`` was set
 (``pythondontwritebytecode``), which decides whether the ``cli`` children
 compile torell from source.  Then the
 tier-1 tests run.  The file written at the repo root holds every run's
-output, the Python version, the line count of ``src/torell``, the tier-1
-counts and wall time, and whether any ``.pyc`` file under the repo was
-written while it ran.  It names the measured sources twice: ``commit`` is
+output, the Python version, the line count of ``src/torell`` and the
+number of its public names (``len(torell.__all__)``), the tier-1 counts
+and wall time, and whether any ``.pyc`` file under the repo was written
+while it ran.  It names the measured sources twice: ``commit`` is
 the checked-out HEAD, and ``tree`` is the git tree id of the files in the
 index, with their contents as they were when the runs began and
 ``BENCH_*.json`` left out: stage new files before recording.  ``git diff
@@ -80,6 +81,17 @@ def tier1() -> dict:
             "wall_s": round(wall, 2)}
 
 
+def public_names() -> int:
+    """len(torell.__all__), read in a child process with src first on the
+    path, so that the count is the checkout's and no bytecode is written."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = run([sys.executable, "-B", "-c", "import torell; print(len(torell.__all__))"],
+               env=dict(os.environ, PYTHONPATH=path))
+    if done.returncode != 0:
+        raise SystemExit(f"error: importing torell exited {done.returncode}:\n{done.stderr}")
+    return int(done.stdout)
+
+
 def git(*args, env=None) -> str:
     return run(["git", *args], env=env).stdout.strip()
 
@@ -124,6 +136,7 @@ def main(argv=None) -> int:
         "bytecode_written": pyc_written_since(start),
         "src_torell_lines": sum(len(f.read_text().splitlines())
                                 for f in sorted((ROOT / "src" / "torell").glob("*.py"))),
+        "public_names": public_names(),
         "seed": SEED,
         "seconds": SECONDS,
         "trace_seconds": TRACE_SECONDS,
