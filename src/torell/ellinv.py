@@ -18,7 +18,10 @@ span one.  The cycle is walked once through the fan's wall incidence, and
 both matrices, their kernels and the arcs are read from the two walks.
 The integer column span is the sum-zero lattice, so every column of one
 surface's matrix is an arc of the other's cycle, and the certificate of a
-single-ray reversal is built in O(m^2) with no Hermite form
+single-ray reversal is built in O(m^2) with no Hermite form.  It is
+unimodular with no determinant taken: both kernels are spanned by the
+cycles' signed indicators, so A_f = A_g M gives det M = +-c0 for the c0
+with M z_f = c0 z_g, and the certificate is built with c0 = 1
 (``flip_certificate``).
 """
 
@@ -34,7 +37,6 @@ from .errors import (
     NotProper,
     NotSingleFlip,
     NotSurface,
-    NotUnimodular,
     RankMismatch,
     TooLarge,
     WORK_LIMIT,
@@ -43,7 +45,6 @@ from .fan import Fan
 from .lattice import (
     IntMatrix,
     SublatticeClass,
-    determinant,
     span_class,
 )
 
@@ -265,15 +266,17 @@ def flip_certificate(f: Fan, f2: Fan) -> IntMatrix:
     of f2's cycle from b to a solves for it: each step from cone u to cone
     v contributes e_v - e_u, with its sign read from A_{f2}'s entry in row
     v.  Every column is therefore solvable (both column spans are the
-    lattice of sum-zero vectors); the shorter arc is taken, the clockwise
-    one on a tie.  The kernels are spanned by the signed indicators z_f,
-    z_{f2} of each whole cycle, and M z_f = c0 z_{f2} with det M = +-c0, so
-    adding t z_{f2} to column 0 (where z_f is +-1) makes c0 one and M
-    unimodular.  A_f = A_{f2} M and |det M| = 1 are then verified exactly.
-    Building M costs O(m^2), and so does the product check, as A_{f2} has
-    two nonzeros per row.  The Bareiss determinant check on M costs more
-    than both and grows faster than m^2: it takes most of a call on large
-    surfaces, about seven eighths of it at 204 rays.
+    lattice L of sum-zero vectors); the shorter arc is taken, the clockwise
+    one on a tie.  A_f = A_{f2} M is then verified exactly.  Building M
+    costs O(m^2), and so does the check, as A_{f2} has two nonzeros per row.
+
+    That check and a kernel correction make M unimodular.  A_f and A_{f2}
+    map Z^m onto L, with kernels spanned by the signed indicators z_f and
+    z_{f2} of their cycles, whose entries are +-1.  So A_{f2} M z_f = A_f z_f = 0 gives
+    M z_f = c0 z_{f2}, and M induces the identity of L between the quotients
+    Z^m / Z z_f and Z^m / Z z_{f2}, which A_f and A_{f2} carry onto L; hence
+    det M = +-c0.  Adding t z_{f2} to column 0 (where z_f is +-1) changes no
+    product A_{f2} M and makes c0 one.
     """
     for fan in (f, f2):
         if fan.ambient_rank != 2:
@@ -325,6 +328,4 @@ def flip_certificate(f: Fan, f2: Fan) -> IntMatrix:
     cert = IntMatrix.from_columns(columns)
     if _cycle_matrix(shared_g) @ cert != _cycle_matrix(shared_f):
         raise NotSingleFlip("the certificate does not carry one incidence matrix to the other")
-    if abs(determinant(cert)) != 1:
-        raise NotUnimodular("the certificate is not unimodular")
     return cert

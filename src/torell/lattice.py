@@ -1,10 +1,13 @@
 """Exact integer linear algebra over Z.
 
 Hermite normal forms, determinants, kernels, saturation and primitive
-normal covectors, all over arbitrary-precision Python integers.  The one
-inverse is the fraction-free adjugate: A^-1 = adj A / det A, with the
-division left to the caller.  No rational or floating-point number is
-used anywhere in this module.  Every value is immutable after
+normal covectors, all over arbitrary-precision Python integers.  Each
+question has one elimination: Euclidean Hermite forms for lattices, and
+one fraction-free Gauss-Jordan pass for determinants and the adjugate.
+The one inverse is that adjugate: A^-1 = adj A / det A, with the division
+left to the caller.  A Hermite transform of more than WORK_LIMIT entries
+raises TooLarge before it is built.  No rational or floating-point number
+is used anywhere in this module.  Every value is immutable after
 construction and every operation is a pure function, so everything here
 is safe to share across threads.
 """
@@ -16,7 +19,7 @@ from math import gcd
 from operator import index, itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, NonSquare, WrongCorank
+from .errors import WORK_LIMIT, DimensionMismatch, NonSquare, TooLarge, WrongCorank
 
 Vector = tuple  # integer coordinate tuple
 
@@ -98,59 +101,52 @@ def determinant(m: IntMatrix | Sequence[Sequence[int]]) -> int:
     rows = m.entries if isinstance(m, IntMatrix) else m
     if rows and set(map(len, rows)) != {len(rows)}:
         raise NonSquare(f"{len(rows)}x{len(rows[0])} matrix has no determinant")
-    return _bareiss(rows)
+    return _det(rows)
 
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of the square matrix with the given rows (Bareiss).
-
-    Step k replaces each entry below and right of the pivot p by
-    (x * p - c * y) // prev, where c is the row's entry in the pivot column,
-    y the pivot row's entry and prev the previous pivot; the division is
-    exact.  When p == prev, a row with c == 0 maps to (x * p) // p = x, so
-    it is skipped.  A pivot equal to -prev is first made equal to prev by
-    negating its row, which negates the determinant; the sign is tracked.
-    Both rules change no value the full update would compute, so the result
-    stays exact, and a sparse matrix whose pivots stay +-1 (a signed
-    permutation, a flip certificate) updates only the rows it must.
-    Matrices of size 2 and 3 take the cofactor expansion instead.
-    """
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of the square matrix with the given rows: a closed form
+    up to size 3, the elimination pass (``_gauss_jordan``) above."""
     n = len(rows)
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        if a[k][k] == -prev:
-            a[k] = [-x for x in a[k]]
+    if n < 2:
+        return rows[0][0] if n else 1
+    sign, d = _gauss_jordan([list(r) for r in rows], n)
+    return sign * d
+
+
+def _gauss_jordan(a: list[list[int]], n: int) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on the first n
+    columns of the n rows a, in place; (sign, d) with det = sign * d.
+
+    Step k swaps a row with a nonzero entry in column k into row k (sign
+    tracks the swaps), then replaces every other row by (x * p - c * y) //
+    prev, where p is the pivot, c the row's entry in column k, y the pivot
+    row's entry and prev the previous pivot.  The division is exact: each
+    entry is a minor of a.  A row with c == 0 is skipped when p == prev,
+    since the update would leave it as it is.  A nonsingular block ends as
+    d I, with every column past n carried along; a column with no pivot
+    stops the pass with d = 0.
+    """
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return sign, 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        pivot_row = a[k]
-        p = pivot_row[k]
-        skip = p == prev
-        for i in range(k + 1, n):
-            row = a[i]
-            c = row[k]
-            if c == 0 and skip:
-                continue
-            for j in range(k + 1, n):
-                row[j] = (row[j] * p - c * pivot_row[j]) // prev
-            row[k] = 0
+        pivot_row, p = a[k], a[k][k]
+        for i in range(n):
+            c = a[i][k]
+            if i != k and (c or p != prev):
+                a[i] = [(x * p - c * y) // prev for x, y in zip(a[i], pivot_row)]
         prev = p
-    return sign * a[n - 1][n - 1]
+    return sign, prev
 
 
 def hermite_transform(rows: Sequence[Sequence[int]], ncols: int):
@@ -159,9 +155,13 @@ def hermite_transform(rows: Sequence[Sequence[int]], ncols: int):
     Returns (H, U, pivots) where U is unimodular, U * A = H, H is the
     canonical row HNF (positive pivots, entries above a pivot reduced into
     [0, pivot), zero rows at the bottom) and pivots lists the pivot column
-    of each nonzero row.
+    of each nonzero row.  A U of more than WORK_LIMIT entries raises
+    TooLarge before it is built.
     """
     m = len(rows)
+    if m * m > WORK_LIMIT:
+        raise TooLarge(f"a Hermite transform of {m} rows has {m * m} entries, "
+                       f"over the limit of {WORK_LIMIT}")
     h = [list(as_integers(r, "vector entry")) for r in rows]
     for r in h:
         if len(r) != ncols:
@@ -233,32 +233,18 @@ def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     """(det A, adj A) for the square matrix A with the given rows, so that
     A adj A = adj A A = det A I.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968) turns [A | I]
-    into [d I | R] with exact divisions, each entry a minor of [A | I]; the
-    sign of the row swaps it makes takes d and R to det A and adj A.
+    The elimination pass on [A | I] ends as [d I | R], each entry a minor
+    of [A | I]; the sign of its row swaps takes d and R to det A and adj A.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise NonSquare("only square matrices invert")
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            break
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot_row, p = a[k], a[k][k]
-        for i in range(n):
-            c = a[i][k]
-            if i != k and (c or p != prev):
-                a[i] = [(x * p - c * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = p
-    else:
-        return sign * prev, [[sign * x for x in row[n:]] for row in a]
+    sign, d = _gauss_jordan(a, n)
+    if d:
+        return sign * d, [[sign * x for x in row[n:]] for row in a]
     # A is singular: adj[i][j] is the (j, i) cofactor.
-    return 0, [[(-1) ** (i + j) * _bareiss([r[:i] + r[i + 1:] for r in rows[:j] + rows[j + 1:]])
+    return 0, [[(-1) ** (i + j) * _det([r[:i] + r[i + 1:] for r in rows[:j] + rows[j + 1:]])
                 for j in range(n)] for i in range(n)]
 
 
@@ -376,7 +362,7 @@ def primitive_normal(s: SublatticeClass) -> Vector:
     # The signed maximal minors of the basis rows (their generalised cross
     # product) are orthogonal to every row, and all vanish only when the
     # rows are dependent.
-    minors = [(-1) ** j * _bareiss([row[:j] + row[j + 1:] for row in s.basis])
+    minors = [(-1) ** j * _det([row[:j] + row[j + 1:] for row in s.basis])
               for j in range(s.ambient_rank)]
     g = gcd(*minors)
     if g == 0:

@@ -145,8 +145,7 @@ class Triangulation:
                 raise NotUnimodular(f"cell {cell} names a point index outside "
                                     f"0..{len(pts) - 1}")
             base = pts[cell[0]]
-            det = determinant(IntMatrix(
-                tuple(tuple(pts[i][k] - base[k] for k in range(dim)) for i in cell[1:])))
+            det = determinant([[pts[i][k] - base[k] for k in range(dim)] for i in cell[1:]])
             if abs(det) != 1:
                 raise NotUnimodular(f"cell {cell} has normalized volume != 1")
             dets.append(det)

@@ -17,7 +17,8 @@ reproduce; and the one-system-at-a-time rational solves for quotient
 vertices the library used before it inverted each matrix once; and the
 surface flip certificate solved against Hermite forms and the dense
 Bareiss determinant the library used before it walked the
-cycle of top cones and skipped unchanged rows; and the incidence
+cycle of top cones, took determinants from one Gauss-Jordan pass and
+read a certificate's unimodularity from its kernels; and the incidence
 matrices of surfaces with their rays sorted by angle, which the library
 wrote out before it read the matrices from one walk of that cycle; and the Gauss-Jordan
 elimination over Q and the Hermite-form integer solver the library used

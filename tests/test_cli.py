@@ -392,6 +392,14 @@ def test_huge_rank_is_refused_at_once():
     assert_input_error(run_cli("mckay-example", "--rank", "100000"), "rank-100000")
 
 
+def test_huge_ambient_rank_is_refused_before_any_transform(tmp_path):
+    # Saturating the zero cone would build rank x rank Hermite transforms.
+    path = tmp_path / "rank20000.fan.json"
+    path.write_text(json.dumps({"schema_version": "1", "ambient_rank": 20000,
+                                "rays": [], "cones": []}))
+    assert_input_error(run_cli("validate", str(path)), str(path), "20000 rows")
+
+
 def test_huge_group_order_is_refused_before_enumeration():
     assert_input_error(run_cli("mckay-example", "--generators", "1/100000,99999/100000"),
                        "100001 lattice points")

@@ -110,12 +110,12 @@ class TestIndexAgainstScans:
         # and the maximal cones come from the facets the closure walk meets.
         surface = blowup_surfaces()[5]
         calls = Counter()
-        real = lattice._bareiss
-        monkeypatch.setattr(lattice, "_bareiss", lambda arg: calls.update(["_bareiss"]) or real(arg))
+        real = lattice._det
+        monkeypatch.setattr(lattice, "_det", lambda arg: calls.update(["_det"]) or real(arg))
         fan = Fan.from_cones(2, surface.rays, surface.maximal_cones())
         assert validate(fan) == validate(surface)
         assert fan.maximal_cones() == surface.maximal_cones()
-        assert calls == {"_bareiss": len(fan.top_cones())}
+        assert calls == {"_det": len(fan.top_cones())}
 
     @settings(max_examples=300, deadline=None)
     @given(random_fans())

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from torell import lattice
 from torell.errors import DimensionMismatch, NonSquare, WrongCorank
 from torell.lattice import (
     IntMatrix,
@@ -161,7 +162,7 @@ class TestDeterminant:
     def test_seeded_families_against_the_oracles(self):
         # Dense, sparse, signed permutations (every pivot +-1) and GL_n(Z)
         # images of them; also an upper triangular matrix whose pivots are
-        # 2, -2, 2, so the second is made equal to the first by negation.
+        # 2, -2, 2.
         rng = random.Random(4242)
         for _ in range(60):
             n = rng.randint(1, 8)
@@ -189,7 +190,7 @@ class TestDeterminant:
         self.assert_exact(rows)
 
     def test_closed_forms_against_the_leibniz_expansion(self):
-        # Sizes 2 and 3 take closed forms, the others elimination.  A
+        # Sizes up to 3 take closed forms, 4 and 5 the elimination pass.  A
         # singular matrix has one row replaced by a combination of the
         # others: a zero row, a repeated row or a sum of several.
         rng = random.Random(2205)
@@ -206,6 +207,19 @@ class TestDeterminant:
                                    for col in range(n)]
                     assert determinant(singular) == 0
                     assert oracles.leibniz_determinant(singular) == 0
+
+    def test_singular_matrix_takes_one_elimination_pass(self, monkeypatch):
+        # The cofactor expansion of a singular matrix is the adjugate's:
+        # its determinant stops in the one pass, at the column with no pivot.
+        rng = random.Random(88)
+        rows = [[rng.randint(-9, 9) for _ in range(8)] for _ in range(7)]
+        rows.append([x - 2 * y for x, y in zip(rows[0], rows[1])])
+        passes = []
+        real = lattice._gauss_jordan
+        monkeypatch.setattr(lattice, "_gauss_jordan",
+                            lambda a, n: passes.append(n) or real(a, n))
+        assert determinant(rows) == 0
+        assert passes == [8]
 
     def test_against_cofactor_expansion(self):
         rng = random.Random(1729)

@@ -12,8 +12,9 @@ with, and whether ``PYTHONDONTWRITEBYTECODE`` was set
 (``pythondontwritebytecode``), which decides whether the ``cli`` children
 compile torell from source.  Then the
 tier-1 tests run.  The file written at the repo root holds every run's
-output, the Python version, the line count of ``src/torell`` and the
-number of its public names (``len(torell.__all__)``), the tier-1 counts
+output, the Python version, the line counts of ``src/torell`` and of
+``tests/oracles.py`` (where each closed form's old search moves), the
+number of torell's public names (``len(torell.__all__)``), the tier-1 counts
 and wall time, and whether any ``.pyc`` file under the repo was written
 while it ran.  It names the measured sources twice: ``commit`` is
 the checked-out HEAD, and ``tree`` is the git tree id of the files in the
@@ -136,6 +137,7 @@ def main(argv=None) -> int:
         "bytecode_written": pyc_written_since(start),
         "src_torell_lines": sum(len(f.read_text().splitlines())
                                 for f in sorted((ROOT / "src" / "torell").glob("*.py"))),
+        "tests_oracles_lines": len((ROOT / "tests" / "oracles.py").read_text().splitlines()),
         "public_names": public_names(),
         "seed": SEED,
         "seconds": SECONDS,
