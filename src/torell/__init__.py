@@ -31,7 +31,7 @@ _EXPORTS = {
     ),
     "gkm": ("MomentGraph", "moment_graph"),
     "lattice": (
-        "IntMatrix", "SublatticeClass", "determinant", "hnf", "primitive_normal",
+        "IntMatrix", "SublatticeClass", "determinant", "primitive_normal",
         "saturate",
     ),
     "triang": (

@@ -49,9 +49,6 @@ class CoverElement:
     grade: int
     ray_letters: tuple[tuple[int, str], ...]
 
-    def word_for(self, cone_id: int) -> str:
-        return self.words[self.support.index(cone_id)]
-
     def sort_key(self):
         return (self.grade, self.support, self.words)
 

@@ -284,7 +284,7 @@ def _cmd_mckay(args) -> int:
         result["triangulations"] = [fan_io.triangulation_json(t)
                                     for t in triangulations]
     lines = [f"simplex with {len(simplex.points)} lattice points, "
-             f"normalized volume {simplex.normalized_volume()}"]
+             f"normalized volume {simplex.normalized_volume}"]
     if "triangulation_count" in result:
         lines.append(f"unimodular triangulations: {result['triangulation_count']}")
     # Digested as text: the rank, then one line of weights per generator.

@@ -7,6 +7,7 @@ CLI and tests can distinguish input errors from violated preconditions.
 # The most lattice points, ladder summands or similar items one input may
 # make torell list; larger requests raise TooLarge before the work starts.
 WORK_LIMIT = 2 ** 16
+MAX_RANK = 2 ** 8       # the largest n whose n x n matrices fit within WORK_LIMIT
 
 
 class TorellError(Exception):

@@ -40,14 +40,13 @@ from math import factorial
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .errors import WORK_LIMIT, MalformedFan, NotGood, TooLarge, TorellError
+from .errors import MAX_RANK, WORK_LIMIT, MalformedFan, NotGood, TooLarge, TorellError
 from .lattice import (
     IntMatrix,
     SublatticeClass,
     adjugate,
     as_integers,
     determinant,
-    inverse_unimodular,
     is_primitive,
     primitive_normal,
     saturate,
@@ -152,6 +151,10 @@ class Fan:
 
     def __post_init__(self):
         (n,) = as_integers((self.ambient_rank,), "ambient rank", MalformedFan)
+        if n < 1:
+            raise MalformedFan("ambient rank must be at least 1")
+        if n > MAX_RANK:
+            raise TooLarge(f"ambient rank {n} is over the limit of {MAX_RANK}")
         rays = tuple(as_integers(r, "ray coordinate", MalformedFan) for r in self.rays)
         # One walk closes the cones under faces, each cone read once and a
         # cone with more rays than the rank refused before any face is built.
@@ -173,8 +176,6 @@ class Fan:
         object.__setattr__(self, "ambient_rank", n)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "cones", frozenset(closed))
-        if n < 1:
-            raise MalformedFan("ambient rank must be at least 1")
         seen = set()
         for ray in rays:
             if len(ray) != n:
@@ -188,11 +189,12 @@ class Fan:
             seen.add(ray)
         # Faces keep independence, and faces of a set that extends to a
         # lattice basis extend to one, so only maximal cones are checked: n
-        # rays by their determinant, fewer by their span and its saturation.
+        # rays by their determinant, fewer by their span and its saturation,
+        # and the zero cone not at all: it spans 0, which is saturated.
         maximal = tuple(sorted(closed - facets))
         dets = {}                       # top cone -> its determinant
         smooth = True
-        for cone in maximal:
+        for cone in filter(None, maximal):
             rows = [rays[i] for i in cone]
             if len(cone) == n:
                 dets[cone] = determinant(rows)
@@ -328,7 +330,10 @@ class Fan:
         the ``_chart_key`` of sigma0 with its rays in sorted order.
         Defined for good fans."""
         sigma0 = self.top_cones()[0]
-        vinv = inverse_unimodular(self.ray_matrix(sigma0))
+        d, adj = adjugate(list(zip(*(self.rays[i] for i in sigma0))))
+        if abs(d) != 1:
+            raise TorellError(f"top cone {sigma0} is not unimodular")
+        vinv = IntMatrix(tuple(tuple(d * x for x in row) for row in adj))
         steps = tuple((top, tuple((i, vinv.apply(self.rays[i])) for i in new))
                       for top, new in _tops_by_wall_distance(self, sigma0)[1:])
         upper = self._incidence.upper
@@ -341,10 +346,6 @@ class Fan:
 
     def maximal_cones(self) -> tuple[Cone, ...]:
         return self._incidence.maximal
-
-    def ray_matrix(self, cone: Cone) -> IntMatrix:
-        """Columns are the cone's ray generators in sorted index order."""
-        return IntMatrix.from_columns([self.rays[i] for i in cone])
 
     def is_smooth(self) -> bool:
         return self._incidence.smooth

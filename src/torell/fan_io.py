@@ -42,7 +42,7 @@ def parse_fan_document(data) -> tuple[Fan, dict]:
     """Parse JSON (or a bare ray list) into a validated fan plus metadata."""
     text = _text(data).strip()
     if not text.startswith("{"):
-        return fan_from_ray_text(text), {}
+        return complete_surface_fan(parse_ray_text(text)), {}
     doc = _load_json(text)
     fan, metadata = _fan_from_dict(doc), doc.get("metadata", {})
     if not isinstance(metadata, dict):
@@ -136,10 +136,6 @@ def parse_ray_text(text: str) -> list[tuple[int, ...]]:
     if not rays:
         raise ParseError("no rays found in text input")
     return rays
-
-
-def fan_from_ray_text(text: str) -> Fan:
-    return complete_surface_fan(parse_ray_text(text))
 
 
 def complete_surface_fan(rays: Sequence[Sequence[int]]) -> Fan:
@@ -364,7 +360,7 @@ def simplex_json(s: LatticeSimplex) -> dict:
         "points": [list(p) for p in s.points],
         "boundary_points": [list(p) for p in s.boundary_points],
         "interior_points": [list(p) for p in s.interior_points],
-        "normalized_volume": s.normalized_volume(),
+        "normalized_volume": s.normalized_volume,
     }
 
 

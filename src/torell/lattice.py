@@ -2,9 +2,9 @@
 
 Hermite normal forms, determinants, kernels, saturation and primitive
 normal covectors, all over arbitrary-precision Python integers.  Each
-question has one elimination: Euclidean Hermite forms for lattices, and
-one fraction-free Gauss-Jordan pass for determinants and the adjugate.
-The one inverse is that adjugate: A^-1 = adj A / det A, with the division
+question has one entry point and one elimination: ``hermite_transform``
+for lattices, and one fraction-free Gauss-Jordan pass for ``determinant``
+and ``adjugate``, the one inverse: A^-1 = adj A / det A, with the division
 left to the caller.  A Hermite transform of more than WORK_LIMIT entries
 raises TooLarge before it is built.  No rational or floating-point number
 is used anywhere in this module.  Every value is immutable after
@@ -69,9 +69,6 @@ class IntMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -212,12 +209,6 @@ def hermite_transform(rows: Sequence[Sequence[int]], ncols: int):
     return h, u, pivots
 
 
-def hnf(m: IntMatrix) -> IntMatrix:
-    """Canonical row Hermite normal form; same row span over Z as the input."""
-    h, _, _ = hermite_transform(m.entries, m.cols)
-    return IntMatrix.from_rows(h)
-
-
 def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
     """Basis of the right kernel {x in Z^ncols : A x = 0}.
 
@@ -229,31 +220,23 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
     return [tuple(row) for row in u[len(pivots):]]
 
 
-def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, Optional[list[list[int]]]]:
     """(det A, adj A) for the square matrix A with the given rows, so that
     A adj A = adj A A = det A I.
 
     The elimination pass on [A | I] ends as [d I | R], each entry a minor
     of [A | I]; the sign of its row swaps takes d and R to det A and adj A.
+    A singular A gives (0, None): ``_enumerate_points`` refuses det 0, and
+    every other caller's matrix (a fan chart, the quotient basis) is nonsingular.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise NonSquare("only square matrices invert")
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     sign, d = _gauss_jordan(a, n)
-    if d:
-        return sign * d, [[sign * x for x in row[n:]] for row in a]
-    # A is singular: adj[i][j] is the (j, i) cofactor.
-    return 0, [[(-1) ** (i + j) * _det([r[:i] + r[i + 1:] for r in rows[:j] + rows[j + 1:]])
-                for j in range(n)] for i in range(n)]
-
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1: det A adj A."""
-    det, adj = adjugate(m.entries)
-    if abs(det) != 1:
-        raise NonSquare("matrix is singular" if det == 0 else "matrix is not unimodular")
-    return IntMatrix(tuple(tuple(det * x for x in row) for row in adj))
+    if not d:
+        return 0, None
+    return sign * d, [[sign * x for x in row[n:]] for row in a]
 
 
 def is_primitive(v: Sequence[int]) -> bool:

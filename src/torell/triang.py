@@ -31,7 +31,7 @@ from .errors import (
     WORK_LIMIT,
 )
 from .fan import Fan, facet_sides
-from .lattice import IntMatrix, adjugate, as_integers, determinant, hermite_transform, hnf
+from .lattice import adjugate, as_integers, determinant, hermite_transform
 
 Point = tuple
 
@@ -53,8 +53,8 @@ class LatticeSimplex:
     points: tuple[Point, ...]          # all lattice points, sorted
     # per point, the facets it lies on, facet j being opposite vertices[j]
     point_facets: tuple[frozenset[int], ...] = field(compare=False, repr=False)
-    # the normalized volume, the determinant of the edges from vertices[0]
-    volume: int = field(compare=False, repr=False)
+    # |det| of the edges from vertices[0], the cell count of each unimodular triangulation
+    normalized_volume: int = field(compare=False, repr=False)
 
     @classmethod
     def from_vertices(cls, vertices: Sequence[Sequence[int]]) -> "LatticeSimplex":
@@ -73,9 +73,6 @@ class LatticeSimplex:
     @property
     def interior_points(self) -> tuple[Point, ...]:
         return tuple(p for p, on in zip(self.points, self.point_facets) if not on)
-
-    def normalized_volume(self) -> int:
-        return self.volume
 
     def point_index(self, p: Sequence[int]) -> int:
         return self.points.index(tuple(p))
@@ -149,7 +146,7 @@ class Triangulation:
             if abs(det) != 1:
                 raise NotUnimodular(f"cell {cell} has normalized volume != 1")
             dets.append(det)
-        if len(self.cells) != self.simplex.normalized_volume():
+        if len(self.cells) != self.simplex.normalized_volume:
             raise NotUnimodular("cells do not fill the simplex")
         if set().union(*self.cells) != set(range(len(pts))):
             raise NotUnimodular("triangulation must use every lattice point")
@@ -272,7 +269,7 @@ def quotient_simplex(generators: Iterable[Sequence], rank: Optional[int] = None)
     denom = lcm(1, *(x.denominator for g in gens for x in g)) if gens else 1
     rows = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
     rows += [[int(x * denom) for x in g] for g in gens]
-    h = hnf(IntMatrix.from_rows(rows)).entries
+    h, _, _ = hermite_transform(rows, n)
     refined_rank = sum(1 for row in h if any(row))
     if refined_rank != n:
         raise DimensionMismatch(f"refined lattice has rank {refined_rank}, not {n}")

@@ -52,7 +52,6 @@ from torell.lattice import (
     SublatticeClass,
     hermite_transform,
     determinant,
-    hnf,
     kernel_basis,
     sign_normalized,
     span_class,
@@ -302,8 +301,8 @@ def fan_isomorphic(f, g):
     if len(top_cones(f)) != len(top_cones(g)):
         return None
     # A unimodular matrix has an integral inverse, so int() reads it exactly.
-    vinv = IntMatrix.from_rows([map(int, row) for row in
-                                rational_inverse(f.ray_matrix(top_cones(f)[0]).entries)])
+    columns = [f.rays[i] for i in top_cones(f)[0]]
+    vinv = IntMatrix.from_rows([map(int, row) for row in rational_inverse(list(zip(*columns)))])
     ray_index = {ray: i for i, ray in enumerate(g.rays)}
     for tau in top_cones(g):
         for image in permutations(tau):
@@ -523,7 +522,7 @@ def triangulation_ok(simplex, cells):
     tris = [tuple(pts[i] for i in cell) for cell in cells]
     return (all(len(cell) == 3 and tuple(sorted(cell)) == cell for cell in cells)
             and all(abs(_orient(*tri)) == 1 for tri in tris)
-            and len(cells) == simplex.normalized_volume()
+            and len(cells) == simplex.normalized_volume
             and set().union(*cells) == set(range(len(pts)))
             and not any(_triangles_overlap(t1, t2) for t1, t2 in combinations(tris, 2)))
 
@@ -639,7 +638,7 @@ def quotient_simplex(generators, rank=None):
     denom = lcm(1, *(x.denominator for g in gens for x in g))
     rows = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
     rows += [[int(x * denom) for x in g] for g in gens]
-    h = hnf(IntMatrix.from_rows(rows)).entries
+    h, _, _ = hermite_transform(rows, n)
     basis = [tuple(Fraction(x, denom) for x in h[i]) for i in range(n)]
     transform = _height_normalizer([int(sum(b)) for b in basis])
     new_basis = [tuple(sum(transform[j][k] * basis[j][i] for j in range(n))
@@ -737,7 +736,7 @@ def flip_certificate(f, g):
     a_g = clockwise_incidence(g, g.rays.index(w))
     m = a_f.rows
     solve = integer_solver(a_g)
-    columns = [solve(a_f.column(j)) for j in range(m)]
+    columns = [solve(column) for column in zip(*a_f.entries)]
     if any(x is None for x in columns):
         return None
     columns = [list(x) for x in columns]

@@ -107,7 +107,7 @@ class TestCover:
             n = fan.ambient_rank
             expected = sorted("".join(w) for w in product("ab", repeat=n))
             for cid in range(len(fan.top_cones())):
-                words = sorted(e.word_for(cid) for e in cover(fan)
+                words = sorted(e.words[e.support.index(cid)] for e in cover(fan)
                                if cid in e.support)
                 assert words == expected, name
 
@@ -213,7 +213,7 @@ class TestCechPoset:
             expected = oracles.cube_words(n)
             poset = cech_poset(fan)
             for cid in range(len(fan.top_cones())):
-                words = sorted(e.word_for(cid) for e in poset.elements
+                words = sorted(e.words[e.support.index(cid)] for e in poset.elements
                                if cid in e.support)
                 assert words == expected, name
 

@@ -393,11 +393,18 @@ def test_huge_rank_is_refused_at_once():
 
 
 def test_huge_ambient_rank_is_refused_before_any_transform(tmp_path):
-    # Saturating the zero cone would build rank x rank Hermite transforms.
-    path = tmp_path / "rank20000.fan.json"
-    path.write_text(json.dumps({"schema_version": "1", "ambient_rank": 20000,
-                                "rays": [], "cones": []}))
-    assert_input_error(run_cli("validate", str(path)), str(path), "20000 rows")
+    # Kernels in Z^n build n x n Hermite transforms, so the rank is bounded
+    # first, with or without rays.
+    path = tmp_path / "rank.fan.json"
+    for n, rays, cones in ((256, [], []), (257, [], []), (257, [[1] + [0] * 256], [[0]]),
+                           (20000, [], [])):
+        path.write_text(json.dumps({"schema_version": "1", "ambient_rank": n,
+                                    "rays": rays, "cones": cones}))
+        proc = run_cli("validate", str(path))
+        if n == 256:
+            assert proc.returncode == 0 and proc.stderr == ""
+        else:
+            assert_input_error(proc, str(path), f"ambient rank {n} is over the limit of 256")
 
 
 def test_huge_group_order_is_refused_before_enumeration():

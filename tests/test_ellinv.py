@@ -84,7 +84,7 @@ def assert_certificate(f, g, branches):
         (a,), (b,) = ([i for i in range(a_f.rows) if a_f.entries[i][j] == s] for s in (1, -1))
         clockwise, counter = arcs(a_g, a, b)
         shorter = counter if sum(map(abs, counter)) < sum(map(abs, clockwise)) else clockwise
-        column = list(cert.column(j))
+        column = [row[j] for row in cert.entries]
         if j:
             assert column == shorter
             branches["counter-clockwise arc"] += shorter is counter

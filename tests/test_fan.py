@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from torell import fan as fan_mod
+from torell import fan as fan_mod, lattice
 from torell.errors import MalformedFan, NotGood, TooLarge
 from torell.fan import Fan, fan_isomorphic, validate, walls
 from torell.fan_io import complete_surface_fan
@@ -108,6 +108,25 @@ class TestValidate:
             Fan(2.0, rays, cones)
         with pytest.raises(MalformedFan, match=r"ambient rank '2' is not an integer"):
             Fan("2", rays, cones)
+
+
+class TestAmbientRank:
+    def test_read_before_the_cones(self):
+        with pytest.raises(MalformedFan, match="ambient rank must be at least 1"):
+            Fan(0, [(1,)], [(0,)])
+        ray = (1,) + (0,) * 256
+        for rays, cones in (([], []), ([ray], [(0,)])):
+            with pytest.raises(TooLarge, match="ambient rank 257 is over the limit of 256"):
+                Fan(257, rays, cones)
+
+    def test_the_zero_cone_builds_no_hermite_transform(self, monkeypatch):
+        def refuse(rows, ncols):
+            raise AssertionError("a Hermite transform was built")
+
+        monkeypatch.setattr(lattice, "hermite_transform", refuse)
+        for n in (1, 2, 256):
+            fan = Fan(n, [], [])
+            assert fan.maximal_cones() == ((),) and validate(fan).smooth
 
 
 class TestFaceClosure:
@@ -356,7 +375,7 @@ class TestChart:
             for j, i in enumerate(sigma0):
                 expected = tuple(1 if k == j else 0 for k in range(n))
                 assert vinv.apply(fan.rays[i]) == expected
-            basis = fan.ray_matrix(sigma0)
+            basis = IntMatrix.from_columns([fan.rays[i] for i in sigma0])
             for _, new in steps:
                 for i, coordinates in new:
                     assert basis.apply(coordinates) == fan.rays[i]
