@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, fan as fan_mod, fan_io
-from .errors import ParseError, TorellError
+from .errors import ParseError, TooLarge, TorellError
 
 
 def _add_common(parser, reads_fans=True, formats=("json", "text")):
@@ -80,25 +80,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, fmt: str, text_lines=None) -> None:
-    if fmt == "text" and text_lines is not None:
-        sys.stdout.write("\n".join(text_lines) + "\n")
-    else:
-        sys.stdout.write(fan_io.dumps_canonical(report))
+def _emit(report: dict, fmt: str, text) -> None:
+    """Write the report as JSON, or in another format as text() renders it."""
+    try:
+        out = fan_io.dumps_canonical(report) if fmt == "json" else text()
+    except ValueError:
+        # The one ValueError rendering raises: an integer too long to write.
+        names = " vs ".join(entry["name"] for entry in report["inputs"])
+        raise TooLarge(f"{names}: the report holds an integer of more than "
+                       f"{sys.get_int_max_str_digits()} digits") from None
+    sys.stdout.write(out)
+
+
+def _lines(lines) -> str:
+    return "".join(line + "\n" for line in lines)
 
 
 def _cmd_validate(args) -> int:
     results = []
     inputs = []
-    lines = []
     for operand in args.fans:
         f, name, data = fan_io.resolve_fan_argument(operand, args.corpus)
         inputs.append((name, data))
-        report = fan_mod.validate(f)
-        results.append({"fan": name, **fan_io.fan_report_json(report)})
-        lines.append(f"{name}: smooth={report.smooth} good={report.good} "
-                     f"proper={report.proper}")
-    _emit(fan_io.make_report("validate", inputs, results), args.format, lines)
+        results.append({"fan": name, **fan_io.fan_report_json(fan_mod.validate(f))})
+    _emit(fan_io.make_report("validate", inputs, results), args.format, lambda: _lines(
+        f"{r['fan']}: smooth={r['smooth']} good={r['good']} proper={r['proper']}"
+        for r in results))
     return 0
 
 
@@ -111,12 +118,11 @@ def _cmd_invariant(args) -> int:
         result = {"fan": name, "shadow": fan_io.shadow_json(shadow)}
         if args.ladder:
             result["ladder"] = fan_io.ladder_json(ellinv.mv_ladder(f))
-    lines = [f"{name}: rank={shadow.rank} "
-             f"interior_walls={len(shadow.wall_spans)} "
-             f"det_divisor_degree={shadow.det_divisor_degree()}"]
-    for cls in shadow.wall_spans:
-        lines.append(f"  wall span {cls.describe()}")
-    _emit(fan_io.make_report("invariant", [(name, data)], result), args.format, lines)
+    _emit(fan_io.make_report("invariant", [(name, data)], result), args.format, lambda: _lines(
+        [f"{name}: rank={shadow.rank} "
+         f"interior_walls={len(shadow.wall_spans)} "
+         f"det_divisor_degree={shadow.det_divisor_degree()}"]
+        + [f"  wall span {cls.describe()}" for cls in shadow.wall_spans]))
     return 0
 
 
@@ -138,9 +144,8 @@ def _cmd_compare(args) -> int:
         "shadow_b": fan_io.shadow_json(sb),
         "verdict": fan_io.verdict_json(verdict),
     }
-    lines = [f"{name_a} vs {name_b}: {verdict.outcome} (rule: {verdict.rule})"]
     _emit(fan_io.make_report("compare", [(name_a, data_a), (name_b, data_b)], result),
-          args.format, lines)
+          args.format, lambda: f"{name_a} vs {name_b}: {verdict.outcome} (rule: {verdict.rule})\n")
     if args.expect == "iso" and verdict.outcome == ellinv.NOT_ISOMORPHIC:
         return 1
     if args.expect == "noniso" and verdict.outcome == ellinv.ISOMORPHIC:
@@ -154,15 +159,12 @@ def _cmd_gkm(args) -> int:
     f, name, data = fan_io.resolve_fan_argument(args.fan, args.corpus)
     with fan_io.operand(name):
         graph = gkm.moment_graph(f)
-    if args.format == "dot":
-        sys.stdout.write(gkm.to_dot(graph))
-        return 0
     result = {"fan": name, "graph": fan_io.graph_json(graph),
               "partial_skeleton": fan_io.skeleton_json(graph)}
-    lines = [f"{name}: {len(graph.vertices)} fixed points, "
-             f"{len(graph.edges)} edges "
-             f"({sum(1 for e in graph.edges if e.compact)} compact)"]
-    _emit(fan_io.make_report("gkm", [(name, data)], result), args.format, lines)
+    _emit(fan_io.make_report("gkm", [(name, data)], result), args.format, lambda: (
+        gkm.to_dot(graph) if args.format == "dot" else
+        f"{name}: {len(graph.vertices)} fixed points, {len(graph.edges)} edges "
+        f"({sum(1 for e in graph.edges if e.compact)} compact)\n"))
     return 0
 
 
@@ -174,10 +176,10 @@ def _cmd_cech(args) -> int:
         poset = cech.cech_poset(f)
         witness = cech.cohomology_witness(f)
     result = {"fan": name, **fan_io.cech_json(poset, witness)}
-    lines = [f"{name}: cover size {result['cover_size']}, "
-             f"poset size {result['element_count']}, "
-             f"singular top-grade elements {witness.singular_count}"]
-    _emit(fan_io.make_report("cech", [(name, data)], result), args.format, lines)
+    _emit(fan_io.make_report("cech", [(name, data)], result), args.format, lambda: (
+        f"{name}: cover size {result['cover_size']}, "
+        f"poset size {result['element_count']}, "
+        f"singular top-grade elements {witness.singular_count}\n"))
     return 0
 
 
@@ -215,11 +217,11 @@ def _cmd_flop(args) -> int:
                for i, m in enumerate(moves)]
     if args.apply is None:
         result = {"triangulation": fan_io.triangulation_json(t), "flips": listing}
-        lines = [f"{name}: {len(moves)} legal flips"] + [
-            f"  [{entry['id']}] remove {entry['removed_edge']} add {entry['added_edge']}"
-            + (f" ({', '.join(entry['aliases'])})" if entry["aliases"] else "")
-            for entry in listing]
-        _emit(fan_io.make_report("flop", [(name, data)], result), args.format, lines)
+        _emit(fan_io.make_report("flop", [(name, data)], result), args.format, lambda: _lines(
+            [f"{name}: {len(moves)} legal flips"] + [
+                f"  [{entry['id']}] remove {entry['removed_edge']} add {entry['added_edge']}"
+                + (f" ({', '.join(entry['aliases'])})" if entry["aliases"] else "")
+                for entry in listing]))
         return 0
     chosen = None
     for i, m in enumerate(moves):
@@ -243,26 +245,32 @@ def _cmd_flop(args) -> int:
         "certificate": fan_io.certificate_json(certificate),
         "comparison": fan_io.verdict_json(verdict),
     }
-    lines = [f"{name}: applied flip removing {list(chosen.removed_edge)}; "
-             f"invariant comparison: {verdict.outcome}"]
-    _emit(fan_io.make_report("flop", [(name, data)], result), args.format, lines)
+    _emit(fan_io.make_report("flop", [(name, data)], result), args.format, lambda: (
+        f"{name}: applied flip removing {list(chosen.removed_edge)}; "
+        f"invariant comparison: {verdict.outcome}\n"))
     return 0
+
+
+# No weight of a group of order at most WORK_LIMIT needs a longer token.
+_MAX_WEIGHT_SIZE = 100
 
 
 def _parse_generators(spec: str):
     from fractions import Fraction
 
     gens = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, (p.strip() for p in spec.split(";"))):
         weights = []
-        for token in part.split(","):
+        for token in (t.strip() for t in part.split(",")):
+            # Bound the len(token) + |exponent| digits before Fraction writes them.
+            _, e, exponent = token.lower().partition("e")
             try:
-                weights.append(Fraction(token.strip()))
+                if len(token) > _MAX_WEIGHT_SIZE or e and abs(int(exponent)) > _MAX_WEIGHT_SIZE:
+                    raise ParseError(f"--generators: weight {token[:24]!r} has more than "
+                                     f"{_MAX_WEIGHT_SIZE} characters or a larger exponent")
+                weights.append(Fraction(token))
             except (ValueError, ZeroDivisionError):
-                raise ParseError(f"--generators: cannot read weight {token.strip()!r}") from None
+                raise ParseError(f"--generators: cannot read weight {token!r}") from None
         gens.append(tuple(weights))
     return gens
 
@@ -290,7 +298,7 @@ def _cmd_mckay(args) -> int:
     # Digested as text: the rank, then one line of weights per generator.
     group = f"rank {simplex.dim + 1}\n" + "".join(",".join(map(str, g)) + "\n" for g in gens)
     _emit(fan_io.make_report("mckay-example", [(label, group.encode())], result),
-          args.format, lines)
+          args.format, lambda: _lines(lines))
     return 0
 
 

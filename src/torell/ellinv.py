@@ -297,8 +297,6 @@ def flip_certificate(f: Fan, f2: Fan) -> IntMatrix:
     shared_f = _cycle(f, f.rays.index(v))
     shared_g = _cycle(f2, f2.rays.index(w))
     m = len(shared_f)
-    if shared_f == shared_g:
-        return IntMatrix.identity(m)
     # z[j], the entry of column j in row shared[j], is +1 when that row is
     # the smaller of the two the column joins.
     z_f, z_g = ([1 if s[j] < s[j - 1] else -1 for j in range(m)] for s in (shared_f, shared_g))

@@ -17,13 +17,12 @@ What a ``Fan`` derives once and keeps for its lifetime:
 * on first use, for a surface, its rays grouped by the line they span:
   each ray's line (the basis row of its wall's span), sorted, and the ray
   indices in that order;
-* the isomorphism walk: a first chart, its inverse, the other top cones
-  in breadth-first order across walls with the chart coordinates of the
-  rays they add, and the first chart's signature;
+* the first chart: its top cone, its inverse, every ray's coordinates in
+  it, largest entry first, and its signature;
 * the chart-signature index: every ordered top cone, a tuple of ray
   indices, keyed by its chart signature.  One function, ``_chart_key``,
-  builds every signature, for the index and for the walk alike: the chart
-  coordinates of the rays its neighbours across walls add.
+  builds every signature, for the index and for the first chart alike: the
+  chart coordinates of the rays its neighbours across walls add.
 
 Only these immutable tuples and the index are shared between calls.
 Results (``EllShadow``, ``MomentGraph``, ``Verdict``, isomorphism
@@ -32,7 +31,6 @@ matrices) are built anew on every call from this structure.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
 from itertools import groupby, permutations
@@ -323,23 +321,20 @@ class Fan:
         return {key: tuple(tops) for key, tops in index.items()}
 
     @cached_property
-    def _isomorphism_walk(self):
+    def _first_chart(self):
         """The first top cone sigma0, the inverse of its ray matrix, every
-        other top cone with the sigma0 chart coordinates of the rays it
-        adds, in the order a walk across walls from sigma0 meets them, and
-        the ``_chart_key`` of sigma0 with its rays in sorted order.
-        Defined for good fans."""
+        (ray index, sigma0 chart coordinates), largest entry first, so that
+        a wrong candidate fails after a few rays, and the ``_chart_key`` of
+        sigma0 with its rays in sorted order.  Defined for good fans."""
         sigma0 = self.top_cones()[0]
         d, adj = adjugate(list(zip(*(self.rays[i] for i in sigma0))))
-        if abs(d) != 1:
-            raise TorellError(f"top cone {sigma0} is not unimodular")
         vinv = IntMatrix(tuple(tuple(d * x for x in row) for row in adj))
-        steps = tuple((top, tuple((i, vinv.apply(self.rays[i])) for i in new))
-                      for top, new in _tops_by_wall_distance(self, sigma0)[1:])
+        coordinates = tuple(sorted(((i, vinv.apply(ray)) for i, ray in enumerate(self.rays)),
+                                   key=lambda ic: -max(map(abs, ic[1]))))
         upper = self._incidence.upper
         opposite = [_wall_relation(self.rays, w, upper[w])
                     for w in (sigma0[:k] + sigma0[k + 1:] for k in range(len(sigma0)))]
-        return sigma0, vinv, steps, _chart_key(opposite, range(len(sigma0)))
+        return sigma0, vinv, coordinates, _chart_key(opposite, range(len(sigma0)))
 
     def top_cones(self) -> tuple[Cone, ...]:
         return self._incidence.tops
@@ -427,46 +422,42 @@ def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
     chart signature of sigma0 (see ``_chart_key``), and only the ordered
     top cones that g's ``_chart_index`` holds under that signature are
     tried, in the order of a scan of every top cone of g and every
-    ordering of its rays.  The signature is necessary, so the first
-    candidate that carries f onto g is the first the full scan would find,
-    and so is the matrix.  Returns None when no isomorphism exists.  The
+    ordering of its rays.  A candidate is kept when it sends every ray of
+    f, through its sigma0 chart coordinates, onto a ray of g, and every top
+    cone of f onto a top cone of g.  The signature is necessary, so the
+    first candidate that carries f onto g is the first the full scan would
+    find, and so is the matrix.  Returns None when no isomorphism exists.  The
     index lists m * n! ordered top cones, so more than WORK_LIMIT of them
     raise TooLarge before it is built.
     """
     for fan in (f, g):
         if not fan.is_good():
             raise NotGood("fan isomorphism search requires good fans")
-    if f.ambient_rank != g.ambient_rank:
-        return None
-    if len(f.rays) != len(g.rays) or len(f.cones) != len(g.cones):
-        return None
-    if len(f.top_cones()) != len(g.top_cones()):
+    # Isomorphic fans have one rank and as many rays, cones and top cones.
+    sizes = [(h.ambient_rank, len(h.rays), len(h.cones), len(h.top_cones())) for h in (f, g)]
+    if sizes[0] != sizes[1]:
         return None
     entries = len(g.top_cones()) * factorial(g.ambient_rank)
     if entries > WORK_LIMIT:
         raise TooLarge(f"the chart-signature index would list {entries} ordered top "
                        f"cones, over the limit of {WORK_LIMIT}")
-    sigma0, vinv, steps, signature = f._isomorphism_walk
+    sigma0, vinv, coordinates, signature = f._first_chart
     ray_index = {ray: i for i, ray in enumerate(g.rays)}
     g_top_set = set(g.top_cones())
 
     def carries(image):
-        # The candidate sends the rays of sigma0 to those of image, and
-        # every other ray to the same combination of the image basis.
+        # Each ray goes to the combination of the image basis its chart
+        # coordinates give.  Every cone of a good fan is a face of a top cone,
+        # and the map is injective on as many cones as g has, so it is onto.
         rows = tuple(zip(*(g.rays[j] for j in image)))
-        mapping = dict(zip(sigma0, image))
-        for top, new in steps:
-            for i, c in new:
-                j = ray_index.get(tuple([sum(map(mul, row, c)) for row in rows]))
-                if j is None:
-                    return False
-                mapping[i] = j
-            if tuple(sorted([mapping[i] for i in top])) not in g_top_set:
+        mapping = [0] * len(f.rays)
+        for i, c in coordinates:
+            j = ray_index.get(tuple([sum(map(mul, row, c)) for row in rows]))
+            if j is None:
                 return False
-        # Every cone of a good fan is a face of a top cone, so f's cones
-        # land on g's; the map is injective and both fans have as many
-        # cones, so it hits all of them.
-        return True
+            mapping[i] = j
+        return all(tuple(sorted([mapping[i] for i in top])) in g_top_set
+                   for top in f.top_cones())
 
     for image in g._chart_index.get(signature, ()):
         if carries(image):
@@ -515,26 +506,3 @@ def _wall_relation(rays, wall: Cone, upper: tuple[Cone, ...]) -> Optional[tuple[
                           f"in a unimodular relation")
     return coordinates[:-1]
 
-
-def _tops_by_wall_distance(fan: Fan, start: Cone) -> list[tuple[Cone, tuple[int, ...]]]:
-    """Every top cone with the rays it is first to hold, breadth first
-    across walls from start; a part the walk cannot reach is walked next
-    from its smallest top cone.  In a good fan every ray is listed."""
-    upper = fan._incidence.upper
-    seen_tops, seen_rays = set(), set()
-    steps = []
-    for root in (start,) + fan.top_cones():
-        if root in seen_tops:
-            continue
-        seen_tops.add(root)
-        queue = deque([root])
-        while queue:
-            top = queue.popleft()
-            steps.append((top, tuple(i for i in top if i not in seen_rays)))
-            seen_rays.update(top)
-            for k in range(len(top)):
-                for neighbour in upper[top[:k] + top[k + 1:]]:
-                    if neighbour not in seen_tops:
-                        seen_tops.add(neighbour)
-                        queue.append(neighbour)
-    return steps

@@ -772,11 +772,11 @@ def ccw_order(vectors, start):
 
 
 def chart_signature(fan):
-    """The chart signature of the isomorphism walk's first chart sigma0:
+    """The chart signature of the first chart sigma0:
     for each wall of sigma0, the sigma0 chart coordinates of the ray the
     top cone across it adds, with the entry on the ray off the wall left
     out; None for a boundary wall."""
-    sigma0, vinv = fan._isomorphism_walk[:2]
+    sigma0, vinv = fan._first_chart[:2]
     upper = fan._incidence.upper
     signature = []
     for k in range(len(sigma0)):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 from conftest import THREE_ON_A_WALL
 
@@ -410,6 +411,31 @@ def test_huge_ambient_rank_is_refused_before_any_transform(tmp_path):
 def test_huge_group_order_is_refused_before_enumeration():
     assert_input_error(run_cli("mckay-example", "--generators", "1/100000,99999/100000"),
                        "100001 lattice points")
+
+
+def test_weights_too_large_to_read_are_refused_at_once():
+    # 1e4400 would overflow the digest's digit limit, and Fraction takes
+    # seconds to write out 1e10000000: both are refused before that.
+    for weight in ("1e4400", "1e10000000", "1e-101", "1" * 101):
+        start = time.perf_counter()
+        proc = run_cli("mckay-example", "--generators", f"{weight},0")
+        assert time.perf_counter() - start < 5
+        assert_input_error(proc, "error: --generators: weight ", repr(weight[:24]))
+
+
+def test_report_integers_over_the_digit_limit_exit_two(tmp_path):
+    # A smooth one-cone fan whose wall normals have about 5,000 digits.
+    big, other = int("7" * 2500), int("3" * 2500)
+    path = tmp_path / "big.fan.json"
+    path.write_text(json.dumps({"schema_version": "1", "ambient_rank": 3,
+                                "rays": [[1, 0, 0], [big, 1, 0], [5, other, 1]],
+                                "cones": [[0, 1, 2]]}))
+    for fmt in ("json", "dot"):
+        assert_input_error(run_cli("gkm", str(path), "--format", fmt),
+                           f"error: {path}: the report holds an integer of more than ")
+    for argv in (("gkm", "--format", "text"), ("validate",), ("invariant",)):
+        proc = run_cli(argv[0], str(path), *argv[1:])
+        assert proc.returncode == 0 and proc.stderr == ""
 
 
 def test_ladder_on_more_than_sixteen_top_cones_is_refused(tmp_path):

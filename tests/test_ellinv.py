@@ -31,7 +31,7 @@ from torell.errors import (
 from torell.fan import Fan, fan_isomorphic, walls
 from torell.lattice import IntMatrix, determinant, saturate
 
-from conftest import grown_reversal_pair, shuffled_fan, single_reversal_pairs
+from conftest import blowup_surfaces, grown_reversal_pair, shuffled_fan, single_reversal_pairs
 
 
 def incidence_pair(f, g):
@@ -333,7 +333,11 @@ class TestIncidence:
 
 class TestFlipCertificate:
     def test_identity_for_equal_fans(self, p2):
+        # Equal cycles make every arc one step long, so the general
+        # construction gives the identity.
         assert flip_certificate(p2, p2) == IntMatrix.identity(3)
+        for fan in blowup_surfaces():
+            assert flip_certificate(fan, fan) == IntMatrix.identity(len(fan.rays))
 
     def test_reversal_pair(self, corpus_fans):
         a, b = corpus_fans["ray_reversal_a"], corpus_fans["ray_reversal_b"]

@@ -350,44 +350,42 @@ class TestWalls:
 
 
 class TestChart:
-    """The isomorphism walk's chart: the inverse of its first top cone's ray
-    matrix, and the other rays in that chart's coordinates."""
+    """The first chart: the inverse of its top cone's ray matrix, and every
+    ray in that chart's coordinates."""
 
     def test_first_quadrant_identity(self, corpus_fans):
-        sigma0, vinv, steps, _ = corpus_fans["affine2"]._isomorphism_walk
-        assert sigma0 == (0, 1) and vinv == IntMatrix.identity(2) and steps == ()
+        sigma0, vinv, coordinates, _ = corpus_fans["affine2"]._first_chart
+        assert sigma0 == (0, 1) and vinv == IntMatrix.identity(2)
+        assert sorted(coordinates) == [(0, (1, 0)), (1, (0, 1))]
 
     def test_projective_plane_chart(self):
         # P^2 with rays listed so that the first top cone is (0,1), (-1,-1).
         fan = Fan.from_cones(2, [(0, 1), (-1, -1), (1, 0)], [(0, 1), (1, 2), (0, 2)])
-        sigma0, vinv, steps, _ = fan._isomorphism_walk
+        sigma0, vinv, coordinates, _ = fan._first_chart
         assert sigma0 == (0, 1)
         assert vinv.apply((0, 1)) == (1, 0)
         assert vinv.apply((-1, -1)) == (0, 1)
-        # (1, 0) = -(0, 1) - (-1, -1); the first step adds it.
-        assert steps[0][1] == ((2, (-1, -1)),)
+        # (1, 0) = -(0, 1) - (-1, -1), the one ray off sigma0.
+        assert dict(coordinates)[2] == (-1, -1)
 
     def test_round_trip_on_corpus(self, corpus_fans):
         for fan in corpus_fans.values():
             n = fan.ambient_rank
-            sigma0, vinv, steps, _ = fan._isomorphism_walk
+            sigma0, vinv, coordinates, _ = fan._first_chart
             assert abs(determinant(vinv)) == 1
             for j, i in enumerate(sigma0):
                 expected = tuple(1 if k == j else 0 for k in range(n))
                 assert vinv.apply(fan.rays[i]) == expected
             basis = IntMatrix.from_columns([fan.rays[i] for i in sigma0])
-            for _, new in steps:
-                for i, coordinates in new:
-                    assert basis.apply(coordinates) == fan.rays[i]
+            for i, c in coordinates:
+                assert basis.apply(c) == fan.rays[i]
 
     def test_not_top_cone(self, corpus_fans):
-        # Charts are taken only of top cones: the walk visits each top cone
-        # once, and every ray once.
+        # Charts are taken only of top cones, and every ray is listed once.
         for fan in corpus_fans.values():
-            sigma0, _, steps, _ = fan._isomorphism_walk
-            assert sorted([sigma0] + [top for top, _ in steps]) == list(fan.top_cones())
-            assert sorted([*sigma0, *(i for _, new in steps for i, _ in new)]) == \
-                list(range(len(fan.rays)))
+            sigma0, _, coordinates, _ = fan._first_chart
+            assert sigma0 == fan.top_cones()[0]
+            assert sorted(i for i, _ in coordinates) == list(range(len(fan.rays)))
 
 
 class TestFanIsomorphic:

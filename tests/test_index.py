@@ -207,7 +207,7 @@ class TestFanIsomorphicAgainstScan:
 
 def image_of_first_chart(f, g, m):
     """The ordered top cone of g that m sends the first chart of f to."""
-    return tuple(g.rays.index(m.apply(f.rays[i])) for i in f._isomorphism_walk[0])
+    return tuple(g.rays.index(m.apply(f.rays[i])) for i in f._first_chart[0])
 
 
 def without_first_top_cone(fan):
@@ -236,7 +236,7 @@ class TestChartIndex:
             assert fan_isomorphic(f, g) == m
             if m is not None:
                 found += 1
-                assert image_of_first_chart(f, g, m) in g._chart_index[f._isomorphism_walk[3]]
+                assert image_of_first_chart(f, g, m) in g._chart_index[f._first_chart[3]]
         assert found > 100
 
     def test_index_is_the_coded_index_decoded(self, corpus_fans):
@@ -247,12 +247,12 @@ class TestChartIndex:
         for g in seen.values():
             assert list(g._chart_index.items()) == list(oracles.chart_index(g).items())
 
-    def test_the_walk_keeps_the_signature_the_chart_inverse_reads(self, corpus_fans):
+    def test_the_first_chart_keeps_the_signature_the_chart_inverse_reads(self, corpus_fans):
         fans = ([f for f in corpus_fans.values() if f.is_good()] + blowup_surfaces()
                 + three_delta_cone_fans()[::4]
                 + [without_first_top_cone(f) for f in blowup_surfaces()[:6]])
         for f in fans:
-            assert f._isomorphism_walk[3] == oracles.chart_signature(f)
+            assert f._first_chart[3] == oracles.chart_signature(f)
 
     def test_ranks_one_and_three_and_fans_that_are_not_proper(self, corpus_fans):
         fans = [corpus_fans[name] for name in ("affine1", "p1", "affine2", "affine3",
@@ -387,7 +387,7 @@ class TestWallsDerivedOnce:
             candidates += [g for g in fans if len(g.rays) == len(f.rays)]
             for g in candidates:
                 assert fan_isomorphic(f, g) == oracles.fan_isomorphic(f, g)
-            assert f._isomorphism_walk is f._isomorphism_walk
+            assert f._first_chart is f._first_chart
 
     @settings(max_examples=300, deadline=None)
     @given(random_fans())

@@ -33,7 +33,8 @@ from torell.fan_io import CORPUS_ENV, corpus_names  # noqa: E402
 
 _FLIP_IDS = ("green", "red", "0", "purple")
 _GENERATORS = ("1/2,1/2,0;1/2,0,1/2", "1/4,3/4", "2/4,-1/2", "1/3,1/3,1/3",
-               "1/5,2/5,2/5", "1/2,1/2;1/3,2/3", "1/0,1", "a,b")
+               "1/5,2/5,2/5", "1/2,1/2;1/3,2/3", "1/0,1", "a,b", "1e4400,0",
+               "1e10000000,0")
 
 
 @contextlib.contextmanager
