@@ -18,11 +18,10 @@ What a ``Fan`` derives once and keeps for its lifetime:
   each ray's line (the basis row of its wall's span), sorted, and the ray
   indices in that order;
 * the first chart: its top cone, its inverse, every ray's coordinates in
-  it, largest entry first, and its signature;
-* the chart-signature index: every ordered top cone, a tuple of ray
-  indices, keyed by its chart signature.  One function, ``_chart_key``,
-  builds every signature, for the index and for the first chart alike: the
-  chart coordinates of the rays its neighbours across walls add.
+  it, largest entry first, and its top cone's key;
+* the top-cone index: every top cone keyed by the relations on its walls
+  (see ``_top_key``), which a lattice map keeps up to the order of their
+  entries; m entries for m top cones.
 
 Only these immutable tuples and the index are shared between calls.
 Results (``EllShadow``, ``MomentGraph``, ``Verdict``, isomorphism
@@ -34,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
 from itertools import groupby, permutations
-from math import factorial
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -302,39 +300,34 @@ class Fan:
         return tuple(line for line, _, _ in rows), tuple(i for _, _, i in rows)
 
     @cached_property
-    def _chart_index(self) -> dict[tuple, tuple[Cone, ...]]:
-        """Every ordered top cone of a good fan, as a tuple of ray indices,
-        keyed by its ``_chart_key``.  Each key lists its ordered top cones
-        in the order a scan meets them: the top cones in ``top_cones()``
-        order, and the orderings of each in ``permutations(range(n))``
-        order.  Each wall's relation is read once, for both its top cones.
-        """
+    def _top_index(self) -> dict[tuple, tuple[Cone, ...]]:
+        """The top cones of a good fan keyed by ``_top_key``, each key's
+        top cones in ``top_cones()`` order.  Each wall's relation is read
+        once, for both its top cones."""
         n = self.ambient_rank
         relation = {wall: _wall_relation(self.rays, wall, upper)
                     for wall, upper in self._incidence.upper.items()}
         index: dict[tuple, list[Cone]] = {}
         for top in self._incidence.tops:
-            opposite = [relation[top[:k] + top[k + 1:]] for k in range(n)]
-            for order in permutations(range(n)):
-                index.setdefault(_chart_key(opposite, order), []).append(
-                    tuple([top[k] for k in order]))
+            key = _top_key([relation[top[:k] + top[k + 1:]] for k in range(n)])
+            index.setdefault(key, []).append(top)
         return {key: tuple(tops) for key, tops in index.items()}
 
     @cached_property
     def _first_chart(self):
         """The first top cone sigma0, the inverse of its ray matrix, every
         (ray index, sigma0 chart coordinates), largest entry first, so that
-        a wrong candidate fails after a few rays, and the ``_chart_key`` of
-        sigma0 with its rays in sorted order.  Defined for good fans."""
+        a wrong candidate fails after a few rays, and the ``_top_key`` of
+        sigma0.  Defined for good fans."""
         sigma0 = self.top_cones()[0]
         d, adj = adjugate(list(zip(*(self.rays[i] for i in sigma0))))
         vinv = IntMatrix(tuple(tuple(d * x for x in row) for row in adj))
         coordinates = tuple(sorted(((i, vinv.apply(ray)) for i, ray in enumerate(self.rays)),
                                    key=lambda ic: -max(map(abs, ic[1]))))
         upper = self._incidence.upper
-        opposite = [_wall_relation(self.rays, w, upper[w])
-                    for w in (sigma0[:k] + sigma0[k + 1:] for k in range(len(sigma0)))]
-        return sigma0, vinv, coordinates, _chart_key(opposite, range(len(sigma0)))
+        key = _top_key([_wall_relation(self.rays, w, upper[w])
+                        for w in (sigma0[:k] + sigma0[k + 1:] for k in range(len(sigma0)))])
+        return sigma0, vinv, coordinates, key
 
     def top_cones(self) -> tuple[Cone, ...]:
         return self._incidence.tops
@@ -415,20 +408,18 @@ def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
 
     Every lattice map is fixed by where it sends the ray basis of one chart
     sigma0 of f, and it carries f onto g only if it sends that ordered basis
-    to an ordered top cone of g.  It then also carries the top cone across
-    each wall of sigma0 to the top cone across the matching wall of the
-    image, and boundary walls to boundary walls; being linear, it keeps the
-    chart coordinates of the ray each neighbour adds.  So the image has the
-    chart signature of sigma0 (see ``_chart_key``), and only the ordered
-    top cones that g's ``_chart_index`` holds under that signature are
-    tried, in the order of a scan of every top cone of g and every
-    ordering of its rays.  A candidate is kept when it sends every ray of
-    f, through its sigma0 chart coordinates, onto a ray of g, and every top
-    cone of f onto a top cone of g.  The signature is necessary, so the
-    first candidate that carries f onto g is the first the full scan would
-    find, and so is the matrix.  Returns None when no isomorphism exists.  The
-    index lists m * n! ordered top cones, so more than WORK_LIMIT of them
-    raise TooLarge before it is built.
+    to an ordering of a top cone of g.  It then carries each wall of sigma0
+    to a wall of the image, boundary walls to boundary walls, and each
+    wall's relation (see ``_wall_relation``) to the image wall's relation
+    with its entries permuted.  So the image has the ``_top_key`` of sigma0,
+    and only the top cones that g's ``_top_index`` holds under that key are
+    tried, in ``top_cones()`` order, each in every ordering of its rays.  A
+    candidate is kept when it sends every ray of f, through its sigma0
+    chart coordinates, onto a ray of g, and every top cone of f onto a top
+    cone of g.  The key is necessary, so the first candidate that carries f
+    onto g is the first a scan of every ordered top cone of g would find,
+    and so is the matrix.  Returns None when no isomorphism exists; a
+    search that tries more than WORK_LIMIT orderings raises TooLarge.
     """
     for fan in (f, g):
         if not fan.is_good():
@@ -437,20 +428,18 @@ def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
     sizes = [(h.ambient_rank, len(h.rays), len(h.cones), len(h.top_cones())) for h in (f, g)]
     if sizes[0] != sizes[1]:
         return None
-    entries = len(g.top_cones()) * factorial(g.ambient_rank)
-    if entries > WORK_LIMIT:
-        raise TooLarge(f"the chart-signature index would list {entries} ordered top "
-                       f"cones, over the limit of {WORK_LIMIT}")
-    sigma0, vinv, coordinates, signature = f._first_chart
+    sigma0, vinv, coordinates, key = f._first_chart
     ray_index = {ray: i for i, ray in enumerate(g.rays)}
     g_top_set = set(g.top_cones())
+    # Every entry is written before the top cones read it, so one list serves
+    # every candidate.
+    mapping = [0] * len(f.rays)
 
     def carries(image):
         # Each ray goes to the combination of the image basis its chart
         # coordinates give.  Every cone of a good fan is a face of a top cone,
         # and the map is injective on as many cones as g has, so it is onto.
         rows = tuple(zip(*(g.rays[j] for j in image)))
-        mapping = [0] * len(f.rays)
         for i, c in coordinates:
             j = ray_index.get(tuple([sum(map(mul, row, c)) for row in rows]))
             if j is None:
@@ -459,27 +448,24 @@ def fan_isomorphic(f: Fan, g: Fan) -> Optional[IntMatrix]:
         return all(tuple(sorted([mapping[i] for i in top])) in g_top_set
                    for top in f.top_cones())
 
-    for image in g._chart_index.get(signature, ()):
-        if carries(image):
-            return IntMatrix.from_columns([g.rays[j] for j in image]) @ vinv
+    tried = 0
+    for top in g._top_index.get(key, ()):
+        for image in permutations(top):
+            tried += 1
+            if tried > WORK_LIMIT:
+                raise TooLarge(f"the isomorphism search tries more ordered top cones "
+                               f"than the limit of {WORK_LIMIT}")
+            if carries(image):
+                return IntMatrix.from_columns([g.rays[j] for j in image]) @ vinv
     return None
 
 
-def _chart_key(opposite: Sequence[Optional[tuple[int, ...]]],
-               order: Iterable[int]) -> tuple:
-    """The chart signature of a top cone with its rays taken in order.
-
-    opposite[q] is the relation (see ``_wall_relation``) on the wall
-    opposite ray q of the top cone's sorted tuple, or None on a boundary
-    wall.  For each ray in the given order the signature lists
-    that relation with its entries read in the same order: it is then the
-    chart coordinates, in that ordered chart, of the ray the top cone
-    across the wall adds, less the entry -1 on the ray off the wall.
-    """
-    order = tuple(order)
-    return tuple([None if opposite[q] is None
-                  else tuple([opposite[q][j - (j > q)] for j in order if j != q])
-                  for q in order])
+def _top_key(relations: Sequence[Optional[tuple[int, ...]]]) -> tuple:
+    """The key of a top cone, from the relations on its walls (None on a
+    boundary wall): each relation with its entries sorted, a boundary wall
+    as (), all sorted.  A lattice map carrying one top cone onto another
+    keeps it, whatever the order of either's rays."""
+    return tuple(sorted([() if r is None else tuple(sorted(r)) for r in relations]))
 
 
 def _wall_relation(rays, wall: Cone, upper: tuple[Cone, ...]) -> Optional[tuple[int, ...]]:

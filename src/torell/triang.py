@@ -265,7 +265,7 @@ def quotient_simplex(generators: Iterable[Sequence], rank: Optional[int] = None)
         raise DimensionMismatch("generator weight vectors of unequal rank")
     for g in gens:
         if sum(g).denominator != 1:
-            raise NotInSL(f"weights {g} do not sum to an integer")
+            raise NotInSL(f"weights {','.join(map(str, g))} do not sum to an integer")
     denom = lcm(1, *(x.denominator for g in gens for x in g)) if gens else 1
     rows = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
     rows += [[int(x * denom) for x in g] for g in gens]
@@ -277,7 +277,7 @@ def quotient_simplex(generators: Iterable[Sequence], rank: Optional[int] = None)
     heights = [sum(h[i]) for i in range(n)]
     if any(x % denom for x in heights):
         raise NotInSL(f"refined lattice basis has non-integral heights "
-                      f"{[Fraction(x, denom) for x in heights]}")
+                      f"{','.join(str(Fraction(x, denom)) for x in heights)}")
     transform = _height_normalizer([x // denom for x in heights])
     # Column k of m is denom times basis vector k after the height change.
     m = [[sum(transform[j][k] * h[j][i] for j in range(n)) for k in range(n)]
@@ -290,7 +290,7 @@ def quotient_simplex(generators: Iterable[Sequence], rank: Optional[int] = None)
         coords = [denom * row[i] for row in adj]
         if any(c % det for c in coords) or coords[-1] != det:
             raise NotInSL(f"vertex {i} of the quotient simplex is "
-                          f"{[Fraction(c, det) for c in coords]}, "
+                          f"{','.join(str(Fraction(c, det)) for c in coords)}, "
                           "not a lattice point at height one")
         vertices.append(tuple(c // det for c in coords[:-1]))
     # Normalize the translation freedom: put the componentwise minimum at 0.

@@ -28,8 +28,9 @@ sizes are checked; and the plane order
 by rational cotangents and the chart signature read through the chart's
 inverse the library used before it compared cross products and read the
 signature from wall relations; and the chart-signature index with its
-table of per-ordering places and integer codes the library built before
-one function keyed it with ordered top cones; and the sublattice class
+table of per-ordering places and integer codes, keyed by ordered top
+cones, which the library built before it keyed each unordered top cone
+by its sorted wall relations; and the sublattice class
 as the frozen dataclass with a sort key the library used before a class
 became the tuple (ambient_rank, rank, basis); and the search of the
 built Čech poset for each singular element's witness the library used

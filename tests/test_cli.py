@@ -413,6 +413,13 @@ def test_huge_group_order_is_refused_before_enumeration():
                        "100001 lattice points")
 
 
+def test_weights_not_in_sl_print_as_the_digest_writes_them():
+    for spec, weights in (("1e-3,1e3", "1/1000,1000"), ("1/3,1/3;1/2,1/2", "1/3,1/3")):
+        proc = run_cli("mckay-example", "--generators", spec)
+        assert_input_error(proc, f"error: weights {weights} do not sum to an integer")
+        assert "Fraction(" not in proc.stderr
+
+
 def test_weights_too_large_to_read_are_refused_at_once():
     # 1e4400 would overflow the digest's digit limit, and Fraction takes
     # seconds to write out 1e10000000: both are refused before that.

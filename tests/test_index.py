@@ -10,9 +10,9 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from torell import lattice
+from torell import fan as fan_mod, lattice
 from torell.ellinv import _cycle, compare, ell_shadow
-from torell.errors import WORK_LIMIT, MalformedFan, NotGood, RankMismatch, TooLarge
+from torell.errors import MalformedFan, NotGood, RankMismatch, TooLarge
 from torell.fan import Fan, fan_isomorphic, validate, walls
 from torell.lattice import IntMatrix, primitive_normal, saturate, span_class
 
@@ -206,13 +206,35 @@ class TestFanIsomorphicAgainstScan:
 
 
 def image_of_first_chart(f, g, m):
-    """The ordered top cone of g that m sends the first chart of f to."""
-    return tuple(g.rays.index(m.apply(f.rays[i])) for i in f._first_chart[0])
+    """The top cone of g that m sends the first chart of f to."""
+    return tuple(sorted(g.rays.index(m.apply(f.rays[i])) for i in f._first_chart[0]))
 
 
 def without_first_top_cone(fan):
     """A good fan that is not proper: a complete surface less one top cone."""
     return Fan.from_cones(fan.ambient_rank, fan.rays, fan.maximal_cones()[1:])
+
+
+def carries_onto(m, f, g):
+    """Whether the unimodular m sends the rays of f onto those of g and the
+    cones of f onto those of g."""
+    ray_index = {ray: j for j, ray in enumerate(g.rays)}
+    images = [ray_index.get(m.apply(ray)) for ray in f.rays]
+    return (abs(lattice.determinant(m.entries)) == 1 and None not in images
+            and {tuple(sorted(images[i] for i in c)) for c in f.cones} == g.cones)
+
+
+def keyed_without_isomorphism():
+    """Pairs of fans of one size, the first chart of the first under a key
+    of the second's index, with no isomorphism between them."""
+    fans = blowup_surfaces() + three_delta_cone_fans()[:30]
+    for f in fans:
+        for g in fans:
+            if (f is not g and (f.ambient_rank, len(f.rays), len(f.cones))
+                    == (g.ambient_rank, len(g.rays), len(g.cones))
+                    and f._first_chart[3] in g._top_index
+                    and oracles.fan_isomorphic(f, g) is None):
+                yield f, g
 
 
 class TestChartIndex:
@@ -228,31 +250,40 @@ class TestChartIndex:
                 yield f, g
 
     def test_every_lattice_map_lands_in_the_bucket(self, corpus_fans):
-        # The chart signature is necessary: the first chart of f goes to an
-        # ordered top cone of g listed under its signature.
+        # The key is necessary: the first chart of f goes to a top cone of g
+        # listed under its key.
         found = 0
         for f, g in self.pairs(corpus_fans):
             m = oracles.fan_isomorphic(f, g)
             assert fan_isomorphic(f, g) == m
             if m is not None:
                 found += 1
-                assert image_of_first_chart(f, g, m) in g._chart_index[f._first_chart[3]]
+                assert image_of_first_chart(f, g, m) in g._top_index[f._first_chart[3]]
         assert found > 100
 
-    def test_index_is_the_coded_index_decoded(self, corpus_fans):
-        # Keys and the order of each bucket both.
-        seen = {}
-        for _, g in self.pairs(corpus_fans):
-            seen[id(g)] = g
-        for g in seen.values():
-            assert list(g._chart_index.items()) == list(oracles.chart_index(g).items())
+    def test_one_ordered_signature_decides_the_key(self, corpus_fans):
+        # The top cones of one bucket of the ordered chart-signature index
+        # share one key, so the keyed index admits every candidate the
+        # ordered one did, in the same order.
+        fans = {}
+        for f, g in self.pairs(corpus_fans):
+            fans[id(g)] = g
+            ordered = oracles.chart_index(g).get(oracles.chart_signature(f), ())
+            admitted = g._top_index.get(f._first_chart[3], ())
+            assert all(tuple(sorted(top)) in admitted for top in ordered)
+        for g in fans.values():
+            key = {top: k for k, tops in g._top_index.items() for top in tops}
+            assert sorted(key) == list(g.top_cones())
+            assert all(list(tops) == sorted(tops) for tops in g._top_index.values())
+            for ordered in oracles.chart_index(g).values():
+                assert len({key[tuple(sorted(top))] for top in ordered}) == 1
 
     def test_the_first_chart_keeps_the_signature_the_chart_inverse_reads(self, corpus_fans):
         fans = ([f for f in corpus_fans.values() if f.is_good()] + blowup_surfaces()
                 + three_delta_cone_fans()[::4]
                 + [without_first_top_cone(f) for f in blowup_surfaces()[:6]])
         for f in fans:
-            assert f._first_chart[3] == oracles.chart_signature(f)
+            assert f._first_chart[3] == fan_mod._top_key(oracles.chart_signature(f))
 
     def test_ranks_one_and_three_and_fans_that_are_not_proper(self, corpus_fans):
         fans = [corpus_fans[name] for name in ("affine1", "p1", "affine2", "affine3",
@@ -269,17 +300,40 @@ class TestChartIndex:
     def test_index_is_built_once_per_fan(self, corpus_fans):
         for g in corpus_fans.values():
             if g.is_good():
-                assert g._chart_index is g._chart_index
+                assert g._top_index is g._top_index
 
-    def test_an_index_over_the_work_limit_is_refused_before_it_is_built(self):
-        # (P^1)^n lists 2^n * n! ordered top cones: 46,080 for n = 6 and
-        # 645,120 for n = 7.
-        small, large = projective_line_power(6), projective_line_power(7)
-        assert len(small.top_cones()) * factorial(6) <= WORK_LIMIT
-        assert fan_isomorphic(small, small) == IntMatrix.identity(6)
-        with pytest.raises(TooLarge, match="645120 ordered top cones"):
-            fan_isomorphic(large, large)
-        assert "_chart_index" not in vars(large)
+    def test_relabelled_and_twisted_powers_of_the_projective_line(self):
+        # (P^1)^n has 2^n top cones under one key: every wall relation is
+        # u + w = 0.  Its 2^n * n! ordered top cones, 645,120 for n = 7, are
+        # more than WORK_LIMIT, but only those a search tries count.
+        rng = random.Random(59)
+        for n in range(2, 9):
+            f = projective_line_power(n)
+            assert len(f._top_index) == 1
+            for g in (shuffled_fan(f, rng), image_fan(f, random_unimodular(rng, n), rng)):
+                m = fan_isomorphic(f, g)
+                assert m is not None and carries_onto(m, f, g)
+                if n <= 6:
+                    assert m == oracles.fan_isomorphic(f, g)
+
+    def test_equal_keys_without_an_isomorphism(self):
+        pairs = list(keyed_without_isomorphism())
+        assert len(pairs) > 10
+        assert {f.ambient_rank for f, _ in pairs} == {2, 3}
+        for f, g in pairs:
+            assert fan_isomorphic(f, g) is None
+
+    def test_a_search_over_the_work_limit_is_refused(self, monkeypatch):
+        # A search without an isomorphism tries every ordering of every top
+        # cone under the key: exactly the limit is searched, one more refused.
+        f, g = next((f, g) for f, g in keyed_without_isomorphism()
+                    if f.ambient_rank == 3 and len(g._top_index[f._first_chart[3]]) > 1)
+        tried = len(g._top_index[f._first_chart[3]]) * factorial(3)
+        monkeypatch.setattr(fan_mod, "WORK_LIMIT", tried)
+        assert fan_isomorphic(f, g) is None
+        monkeypatch.setattr(fan_mod, "WORK_LIMIT", tried - 1)
+        with pytest.raises(TooLarge, match=f"ordered top cones than the limit of {tried - 1}$"):
+            fan_isomorphic(f, g)
 
 
 class TestCompareAgainstSaturation:
